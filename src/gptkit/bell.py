@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lp
-from .errors import InvalidSetup, InvalidTable, NotAState
+from .errors import InvalidSetup, InvalidTable, NotAState, NumericalFailure
 
 TOL = 1e-9
 MODEL_TOL = 1e-7
@@ -146,7 +146,8 @@ def classical_membership(table):
     if res.status != "optimal":
         return None
     model = HiddenVariableModel(weights=res.x)
-    assert np.abs(model.table().p - table.p).max() <= MODEL_TOL
+    if not np.abs(model.table().p - table.p).max() <= MODEL_TOL:
+        raise NumericalFailure("hidden-variable model misses the table")
     return model
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .distinguish import perfectly_distinguishable
-from .errors import NotAState, ScaleLimit, UnsupportedKind
+from .errors import NotAState, NumericalFailure, ScaleLimit, UnsupportedKind
 from .spaces import (Effect, Measurement, StateSpace, contains_state,
                      coords_to_mat, is_pure, make_polytopic, mat_to_coords)
 
@@ -122,7 +122,9 @@ def enumerate_vertices(comp):
         verts = geometry.polytope_vertices(comp.ineqs, comp.u)
         space = make_polytopic(verts, comp.u)
         for v in verts:
-            assert is_pure(space, v), "double description produced a non-extremal point"
+            if not is_pure(space, v):
+                raise NumericalFailure(
+                    "double description produced a non-extremal point")
         comp.vertices = verts
         return verts
 

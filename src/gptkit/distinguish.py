@@ -14,7 +14,8 @@ from math import comb
 import numpy as np
 
 from . import lp
-from .errors import InvalidArgument, NotAState, ScaleLimit, UnsupportedKind
+from .errors import (InvalidArgument, NotAState, NumericalFailure, ScaleLimit,
+                     UnsupportedKind)
 from .spaces import (Effect, Measurement, coords_to_mat, contains_state,
                      mat_to_coords)
 
@@ -33,6 +34,12 @@ class DistinguishabilityWitness:
                          for e in self.measurement.effects])
         n = len(self.states)
         return float(np.abs(vals[:n, :n] - np.eye(n)).max())
+
+
+def _checked(witness):
+    if not witness.delta_error() <= WITNESS_TOL:
+        raise NumericalFailure("witness delta-error above tolerance")
+    return witness
 
 
 def perfectly_distinguishable(space, states):
@@ -84,9 +91,7 @@ def _polytopic_witness(space, states, n):
     if res.status != "optimal":
         return None
     effects = [Effect(res.x[i * k:(i + 1) * k]) for i in range(n)]
-    witness = DistinguishabilityWitness(Measurement(tuple(effects)), states)
-    assert witness.delta_error() <= WITNESS_TOL
-    return witness
+    return _checked(DistinguishabilityWitness(Measurement(tuple(effects)), states))
 
 
 def _support_projector(rho, tol=1e-9):
@@ -107,10 +112,8 @@ def _quantum_witness(space, states, n):
     effects = [Effect(mat_to_coords(p)) for p in projs]
     if np.abs(rest).max() > 1e-10:
         effects.append(Effect(mat_to_coords(rest)))
-    witness = DistinguishabilityWitness(Measurement(tuple(effects)),
-                                        np.asarray(states, dtype=float))
-    assert witness.delta_error() <= WITNESS_TOL
-    return witness
+    return _checked(DistinguishabilityWitness(Measurement(tuple(effects)),
+                                              np.asarray(states, dtype=float)))
 
 
 def _ball_witness(space, states, n):
@@ -124,9 +127,7 @@ def _ball_witness(space, states, n):
         return None
     e = Effect(np.concatenate([[0.5], 0.5 * r1]))
     ebar = Effect(space.u - e.coeffs)
-    witness = DistinguishabilityWitness(Measurement((e, ebar)), states)
-    assert witness.delta_error() <= WITNESS_TOL
-    return witness
+    return _checked(DistinguishabilityWitness(Measurement((e, ebar)), states))
 
 
 def capacity(space, candidates=None, n_max=8):

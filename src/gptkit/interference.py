@@ -52,10 +52,15 @@ class SlitExperiment:
         object.__setattr__(self, "q", q)
 
     def projector(self, open_slits):
-        p = np.zeros((self.m, self.m), dtype=complex)
-        for i in open_slits:
-            p[i - 1, i - 1] = 1.0
-        return p
+        return _slit_projector(self.m, open_slits)
+
+
+def _slit_projector(m, open_slits):
+    """Diagonal projector onto the open slits (1-based) of m slits."""
+    p = np.zeros((m, m), dtype=complex)
+    for i in open_slits:
+        p[i - 1, i - 1] = 1.0
+    return p
 
 
 def click_probability(exp, open_slits):
@@ -108,9 +113,7 @@ class BlockingMap:
 
 def projector_blockers(m=3):
     """The canonical orthogonal-projector blockings, one per subset."""
-    exp = object.__new__(SlitExperiment)  # only need .projector
-    object.__setattr__(exp, "m", m)
-    return {s: BlockingMap((exp.projector(s),)) for s in SUBSETS_3}
+    return {s: BlockingMap((_slit_projector(m, s),)) for s in SUBSETS_3}
 
 
 def rotated_blockers(angle=0.1):
@@ -177,11 +180,9 @@ def sorkin_i3_with_blockers(rho, blockers, q):
 def decomposition_residual(rho):
     """Entrywise residual of rho_123 - sum_ij rho_ij + sum_i rho_i."""
     rho = np.asarray(rho, dtype=complex)
-    exp = object.__new__(SlitExperiment)
-    object.__setattr__(exp, "m", 3)
 
     def cut(sub):
-        proj = exp.projector(sub)
+        proj = _slit_projector(3, sub)
         return proj @ rho @ proj
 
     total = (cut((1, 2, 3)) - cut((1, 2)) - cut((1, 3)) - cut((2, 3))

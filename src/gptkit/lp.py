@@ -6,9 +6,18 @@ for both the entering and the leaving variable, so every answer is fully
 deterministic and cycling is impossible.  Problem sizes around here never
 exceed a few hundred variables.
 
-Infeasible verdicts are certified: phase 1 produces a Farkas vector y with
-y^T A <= 0 and y^T b > 0 for the standard-form system, and the certificate
-is re-checked before the verdict is returned.
+The standard form writes x = x0 + T z with z >= 0.  A variable with a
+finite lower bound is shifted onto it, one with only an upper bound is
+shifted and negated, and only free variables are split into z+ - z-.  Rows
+of ``a_ub`` and the upper bounds of boxed variables get one surplus column
+each; lower bounds make no rows.  A membership LP over k vertices in
+dimension K is thus a (K + 1) x k tableau.  Every pivot, in both phases, is
+one rank-1 update.
+
+Infeasible verdicts are certified: phase 1 ends with a Farkas vector
+y = c_B B^{-1} with y^T A <= 0 and y^T b > 0 for the standard-form system.
+y is solved for from the basis columns of the original [A | I], not read
+off the tableau, and re-checked before the verdict is returned.
 """
 
 from dataclasses import dataclass, field
@@ -73,8 +82,19 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective_value: float = np.nan
-    # Farkas vector for the standard-form rows, present iff infeasible.
+    # Farkas vector y (y.A <= 0, y.b > 0) for the standard-form rows, present
+    # iff infeasible.  Rows: equalities, then a_ub, then the upper bounds of
+    # boxed variables; lower bounds are shifted out and have no rows.
     certificate: np.ndarray | None = field(default=None, repr=False)
+
+
+def _pivot(tab, basis, r, j):
+    """Gauss-Jordan pivot on (r, j) as one in-place rank-1 update."""
+    tab[r] /= tab[r, j]
+    col = tab[:, j].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+    basis[r] = j
 
 
 def _bland_simplex(tab, basis, cost, allowed, maxiter):
@@ -83,15 +103,9 @@ def _bland_simplex(tab, basis, cost, allowed, maxiter):
     ``allowed`` marks columns that may enter the basis.  Returns "optimal"
     or "unbounded"; ``tab`` and ``basis`` are updated in place.
     """
-    m, ncols = tab.shape
-    ncols -= 1
-    it = 0
-    while True:
-        it += 1
-        if it > maxiter:
-            raise NumericalFailure("simplex iteration cap exceeded")
-        cb = cost[basis]
-        reduced = cost - cb @ tab[:, :ncols]
+    ncols = tab.shape[1] - 1
+    for _ in range(maxiter):
+        reduced = cost - cost[basis] @ tab[:, :ncols]
         candidates = np.where(allowed & (reduced < -_PIVTOL))[0]
         if candidates.size == 0:
             return "optimal"
@@ -101,123 +115,97 @@ def _bland_simplex(tab, basis, cost, allowed, maxiter):
         if rows.size == 0:
             return "unbounded"
         ratios = tab[rows, -1] / col[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + _PIVTOL]
-        r = tied[np.argmin([basis[i] for i in tied])]  # Bland: lowest basis index leaves
-        piv = tab[r, j]
-        tab[r] /= piv
-        for i in range(m):
-            if i != r and abs(tab[i, j]) > 1e-14:
-                tab[i] -= tab[i, j] * tab[r]
-        basis[r] = j
+        tied = rows[ratios <= ratios.min() + _PIVTOL]
+        r = tied[np.argmin(basis[tied])]  # Bland: lowest basis index leaves
+        _pivot(tab, basis, r, j)
+    raise NumericalFailure("simplex iteration cap exceeded")
 
 
 def _standard_form(prob):
-    """Rewrite as min c.z, A z = b, z >= 0 with split free variables.
+    """Rewrite as min c.z, A z = b, z >= 0 with x = x0 + T z.
 
-    Returns (a, b, c, recover) where recover(z) gives the original x.
+    A finite lower bound is shifted onto (x = lo + z), an upper bound alone
+    is shifted and negated (x = hi - z), and only free variables are split
+    (x = z+ - z-).  Rows of ``a_ub`` and the upper bounds of boxed variables
+    become ``>=`` rows with one surplus column each; lower bounds make no
+    rows.  Returns (a, b, c, x0, t).
     """
     n = prob.n_vars
-    rows_a = []
-    rows_b = []
-    if prob.a_eq is not None:
-        rows_a.append(prob.a_eq)
-        rows_b.append(prob.b_eq)
-    if prob.a_ub is not None:
-        rows_a.append(prob.a_ub)
-        rows_b.append(prob.b_ub)
-        n_ub = prob.a_ub.shape[0]
-    else:
-        n_ub = 0
-    if prob.bounds is not None:
-        for i, (lo, hi) in enumerate(prob.bounds):
-            e = np.zeros(n)
-            e[i] = 1.0
-            if lo is not None:
-                rows_a.append(e[None, :])
-                rows_b.append(np.array([lo]))
-                n_ub += 1
-            if hi is not None:
-                rows_a.append(-e[None, :])
-                rows_b.append(np.array([-hi]))
-                n_ub += 1
-    if not rows_a:
-        raise DimensionMismatch("problem has no constraints")
-    a = np.vstack(rows_a)
-    b = np.concatenate(rows_b)
-    m = a.shape[0]
-    n_eq = m - n_ub
+    x0 = np.zeros(n)
+    cols = []  # (variable, sign) of each column of T
+    boxed, widths = [], []  # column and hi - lo of each boxed variable
+    bounds = prob.bounds if prob.bounds is not None else [(None, None)] * n
+    for i, (lo, hi) in enumerate(bounds):
+        if lo is None and hi is None:
+            cols += [(i, 1.0), (i, -1.0)]
+            continue
+        if lo is not None and hi is not None:
+            boxed.append(len(cols))
+            widths.append(hi - lo)
+        x0[i] = hi if lo is None else lo
+        cols.append((i, -1.0 if lo is None else 1.0))
+    t = np.zeros((n, len(cols)))
+    for k, (i, sign) in enumerate(cols):
+        t[i, k] = sign
 
-    # x = z+ - z-, one surplus per inequality row
-    a_std = np.hstack([a, -a, np.zeros((m, n_ub))])
-    for k in range(n_ub):
-        a_std[n_eq + k, 2 * n + k] = -1.0
-    c_std = np.zeros(2 * n + n_ub)
+    def rows(a, b):
+        return (np.zeros((0, n)), np.zeros(0)) if a is None else (a, b)
+
+    a_eq, b_eq = rows(prob.a_eq, prob.b_eq)
+    a_ub, b_ub = rows(prob.a_ub, prob.b_ub)
+    g = np.vstack([a_ub @ t, -np.eye(len(cols))[boxed]])
+    a = np.block([[a_eq @ t, np.zeros((len(b_eq), len(g)))], [g, -np.eye(len(g))]])
+    b = np.concatenate([b_eq - a_eq @ x0, b_ub - a_ub @ x0, -np.array(widths)])
+    c = np.zeros(a.shape[1])
     if prob.objective is not None:
-        c_std[:n] = -prob.objective  # maximize -> minimize
-        c_std[n:2 * n] = prob.objective
-
-    def recover(z):
-        return z[:n] - z[n:2 * n]
-
-    return a_std, b, c_std, recover
+        c[:len(cols)] = -prob.objective @ t  # maximize -> minimize
+    return a, b, c, x0, t
 
 
 def solve(prob: LpProblem, maxiter: int = MAX_PIVOTS) -> LpResult:
     """Solve an LP; optimal solutions satisfy all constraints within FEASTOL."""
-    a, b, c, recover = _standard_form(prob)
+    a, b, c, x0, t = _standard_form(prob)
     m, ncols = a.shape
 
     # flip rows so the rhs is nonnegative
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
     flip = b < 0
     a[flip] *= -1.0
     b[flip] *= -1.0
 
     # phase 1: artificial basis
     tab = np.hstack([a, np.eye(m), b[:, None]])
-    basis = list(range(ncols, ncols + m))
+    basis = np.arange(ncols, ncols + m)
     cost1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     allowed = np.ones(ncols + m, dtype=bool)
     _bland_simplex(tab, basis, cost1, allowed, maxiter)
-    phase1_val = float(cost1[basis] @ tab[:, -1])
-    if phase1_val > FEASTOL:
-        # Farkas certificate from the simplex multipliers: y = c1_B B^{-1},
-        # read off the artificial columns which started as the identity.
-        binv = tab[:, ncols:ncols + m]
-        y = cost1[basis] @ binv
+    if cost1[basis] @ tab[:, -1] > FEASTOL:
+        # Farkas certificate from the simplex multipliers y = c1_B B^{-1},
+        # with B taken from the original columns of [A | I], not the tableau.
+        full = np.hstack([a, np.eye(m)])
+        try:
+            y = np.linalg.solve(full[:, basis].T, cost1[basis])
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("singular basis at the end of phase 1") from None
         if np.any(y @ a > CERT_TOL) or y @ b <= CERT_TOL * max(1.0, np.abs(b).max()):
             raise NumericalFailure("infeasibility certificate failed validation")
-        y_signed = y.copy()
-        y_signed[flip] *= -1.0
-        return LpResult(status="infeasible", certificate=y_signed)
+        y[flip] *= -1.0
+        return LpResult(status="infeasible", certificate=y)
 
     # drive any artificials still in the basis out of it
-    for r in range(m):
-        if basis[r] >= ncols:
-            row = tab[r, :ncols]
-            nz = np.where(np.abs(row) > _PIVTOL)[0]
-            if nz.size == 0:
-                continue  # redundant row, harmless
-            j = nz[0]
-            piv = tab[r, j]
-            tab[r] /= piv
-            for i in range(m):
-                if i != r and abs(tab[i, j]) > 1e-14:
-                    tab[i] -= tab[i, j] * tab[r]
-            basis[r] = j
+    for r in np.where(basis >= ncols)[0]:
+        nz = np.where(np.abs(tab[r, :ncols]) > _PIVTOL)[0]
+        if nz.size:  # else the row is redundant, harmless
+            _pivot(tab, basis, r, nz[0])
 
     # phase 2
     cost2 = np.concatenate([c, np.zeros(m)])
-    allowed = np.concatenate([np.ones(ncols, dtype=bool), np.zeros(m, dtype=bool)])
-    status = _bland_simplex(tab, basis, cost2, allowed, maxiter)
-    if status == "unbounded":
+    allowed = np.arange(ncols + m) < ncols
+    if _bland_simplex(tab, basis, cost2, allowed, maxiter) == "unbounded":
         return LpResult(status="unbounded")
 
     z = np.zeros(ncols + m)
     z[basis] = tab[:, -1]
-    x = recover(z)
+    x = x0 + t @ z[:t.shape[1]]
     _check_feasible(prob, x)
     obj = float(prob.objective @ x) if prob.objective is not None else 0.0
     return LpResult(status="optimal", x=x, objective_value=obj)

@@ -2,13 +2,15 @@
 
 Membership: facet enumeration via qhull (scipy.spatial.ConvexHull) on the
 affine slice of the polytope, entirely separate from the simplex path.
+Vertices of an H-representation: qhull's halfspace intersection
+(scipy.spatial.HalfspaceIntersection), not double description.
 Distinguishability / feasibility: the same constraint systems handed to
 scipy.optimize.linprog (HiGHS), an unrelated LP implementation.
 """
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 ORACLE_TOL = 1e-7
 
@@ -64,6 +66,23 @@ def facet_margin(vertices, x):
         return max(pts[:, 0].min() - t[0], t[0] - pts[:, 0].max())
     hull = ConvexHull(pts)
     return float((hull.equations[:, :-1] @ t + hull.equations[:, -1]).max())
+
+
+def halfspace_vertices(rows, u, interior, tol=ORACLE_TOL):
+    """Vertices of {x : rows x >= 0, u.x = 1} by halfspace intersection.
+
+    ``interior`` must satisfy u.interior = 1 and lie strictly inside every
+    halfspace.  Vertices met by several facet combinations are kept once.
+    """
+    basis = np.linalg.svd(u[None, :])[2][1:].T
+    # qhull wants A t + b <= 0 for x = interior + basis t
+    halfspaces = np.hstack([-(rows @ basis), -(rows @ interior)[:, None]])
+    hs = HalfspaceIntersection(halfspaces, np.zeros(basis.shape[1]))
+    out = []
+    for v in interior + hs.intersections @ basis.T:
+        if not any(np.abs(v - q).max() <= tol for q in out):
+            out.append(v)
+    return np.array(out)
 
 
 def scipy_convex_combination_feasible(vertices, x):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gptkit import bell
-from gptkit.errors import InvalidSetup, InvalidTable
+from gptkit import bell, lp
+from gptkit.errors import InvalidSetup, InvalidTable, NumericalFailure
 
 SQRT8 = 2 * np.sqrt(2)
 
@@ -145,3 +145,11 @@ def test_json_roundtrip():
     t = bell.pr_box(1, 0, 1)
     t2 = bell.table_from_json(bell.table_to_json(t))
     assert np.abs(t.p - t2.p).max() == 0.0
+
+
+def test_classical_model_is_checked(monkeypatch):
+    # a solver answer that does not reproduce the table is an error, not a model
+    wrong = lp.LpResult(status="optimal", x=np.eye(16)[0])
+    monkeypatch.setattr(bell.lp, "solve", lambda prob: wrong)
+    with pytest.raises(NumericalFailure):
+        bell.classical_membership(bell.mix_deterministic(np.ones(16)))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from gptkit import composites
 from gptkit.composites import (check_supermultiplicativity,
                                contains_composite_state,
                                effect_cone_generators, enumerate_vertices,
                                max_tensor, min_tensor, product_state,
                                quantum_product_reduced, reduced_state,
                                sampled_block_positive)
-from gptkit.errors import ScaleLimit, UnsupportedKind
+from gptkit.errors import NumericalFailure, ScaleLimit, UnsupportedKind
 from gptkit.spaces import (make_ball, make_classical, make_gbit, make_quantum,
                            mat_to_coords)
 
@@ -138,3 +139,10 @@ def test_non_polytopic_rejected():
         min_tensor(make_quantum(2), make_classical(2))
     with pytest.raises(UnsupportedKind):
         max_tensor(make_ball(3), make_gbit())
+
+
+def test_enumerated_vertices_are_checked(monkeypatch):
+    monkeypatch.setattr(composites, "is_pure", lambda space, v: False)
+    g = make_gbit()
+    with pytest.raises(NumericalFailure):
+        enumerate_vertices(max_tensor(g, g))

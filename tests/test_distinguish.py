@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gptkit import distinguish, lp
 from gptkit.distinguish import capacity, perfectly_distinguishable
-from gptkit.errors import NotAState
+from gptkit.errors import NotAState, NumericalFailure
 from gptkit.spaces import (make_ball, make_classical, make_gbit, make_quantum,
                            mat_to_coords)
 
@@ -72,3 +73,11 @@ def test_witness_is_valid_measurement():
     g = make_gbit()
     wit = perfectly_distinguishable(g, g.vertices[[0, 2]])
     wit.measurement.validate(g)
+
+
+def test_polytopic_witness_is_checked(monkeypatch):
+    # zero effects from the solver miss e_i(omega_j) = delta_ij by 1
+    wrong = lp.LpResult(status="optimal", x=np.zeros(6))
+    monkeypatch.setattr(distinguish.lp, "solve", lambda prob: wrong)
+    with pytest.raises(NumericalFailure):
+        perfectly_distinguishable(make_gbit(), make_gbit().vertices[:2])

@@ -34,7 +34,12 @@ def test_infeasible_has_valid_certificate():
                         b_ub=np.array([2.0, -1.0]))
     res = lp.solve(prob)
     assert res.status == "infeasible"
-    assert res.certificate is not None
+    # x is free, so the certificate is on the a_ub rows: y >= 0 weights
+    # them into 0 >= y.b_ub > 0
+    y = res.certificate
+    assert np.all(y >= 0)
+    assert np.abs(y @ prob.a_ub).max() <= lp.CERT_TOL
+    assert y @ prob.b_ub > 0
 
 
 def test_point_outside_hull_infeasible():

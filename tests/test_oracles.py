@@ -8,15 +8,17 @@ scipy's HiGHS.  Together the suites run well over 500 cases.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from gptkit import lp
+from gptkit.composites import enumerate_vertices, max_tensor
 from gptkit.distinguish import perfectly_distinguishable
-from gptkit.spaces import (contains_state, make_classical, make_gbit,
+from gptkit.spaces import (contains_state, is_pure, make_classical, make_gbit,
                            make_polytopic)
 
-from .oracles import (facet_margin, facet_membership,
+from .oracles import (facet_margin, facet_membership, halfspace_vertices,
                       scipy_convex_combination_feasible,
                       scipy_distinguishable)
 
@@ -69,6 +71,9 @@ def test_membership_matches_facet_oracle(seed):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10 ** 9))
+@example(seed=584)
+@example(seed=2376)
+@example(seed=2752)
 def test_distinguishability_matches_highs(seed):
     rng = np.random.default_rng(seed)
     space = pick_space(rng)
@@ -86,6 +91,11 @@ def test_distinguishability_matches_highs(seed):
     assert ours == oracle, (seed, ours, oracle)
 
 
+# Each variable's bounds are drawn from these, so the shifted, the shifted
+# and negated, the boxed and the split variables of the standard form all run.
+BOUND_KINDS = [(0.0, 2.0), (-1.0, 2.0), (None, 1.0), (-1.0, None), (None, None)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10 ** 9))
 def test_lp_matches_highs(seed):
@@ -98,21 +108,56 @@ def test_lp_matches_highs(seed):
     b_eq = rng.normal(size=m_eq) if m_eq else None
     a_ub = rng.normal(size=(m_ub, n))
     b_ub = rng.normal(size=m_ub)
-    bounds = [(0.0, 2.0)] * n
+    bounds = [BOUND_KINDS[k] for k in rng.integers(len(BOUND_KINDS), size=n)]
 
     prob = lp.LpProblem(n_vars=n, objective=c, a_eq=a_eq, b_eq=b_eq,
                         a_ub=a_ub, b_ub=b_ub, bounds=bounds)
     ours = lp.solve(prob)
-    # HiGHS uses A_ub x <= b_ub; ours is A_ub x >= b_ub
-    ref = linprog(-c, A_ub=-a_ub, b_ub=-b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+
+    def highs(objective):
+        # HiGHS uses A_ub x <= b_ub; ours is A_ub x >= b_ub
+        return linprog(objective, A_ub=-a_ub, b_ub=-b_ub, A_eq=a_eq,
+                       b_eq=b_eq, bounds=bounds, method="highs")
+
+    ref = highs(-c)
     if ref.status == 0:
         assert ours.status == "optimal", seed
         assert abs(ours.objective_value + ref.fun) < 1e-6, seed
-    elif ref.status == 2:
-        assert ours.status == "infeasible", seed
-        # and the returned Farkas certificate must actually certify it
-        assert ours.certificate is not None
+        return
+    # status 2 also covers "unbounded or infeasible"; a zero objective
+    # tells the two apart
+    feasible = highs(np.zeros(n)).status == 0
+    assert ours.status == ("unbounded" if feasible else "infeasible"), seed
+    assert (ours.certificate is not None) == (not feasible), seed
+
+
+@pytest.mark.parametrize("seed,vertex", [(19, 4), (26, 3), (27, 4), (28, 0)])
+def test_purity_on_96_vertices_matches_qhull(seed, vertex):
+    # inputs on which a drifting tableau once failed its residual check
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (96, 7))
+    verts = np.hstack([pts, np.ones((96, 1))])
+    u = np.zeros(8)
+    u[-1] = 1.0
+    ours = is_pure(make_polytopic(verts, u), verts[vertex])
+    assert ours == (vertex in ConvexHull(pts).vertices)
+
+
+def test_turned_square_pentagon_vertices_match_qhull():
+    u = np.array([0.0, 0.0, 1.0])
+
+    def polygon(n, turn):
+        t = 2 * np.pi * np.arange(n) / n + turn
+        return make_polytopic(np.stack([np.cos(t), np.sin(t), np.ones(n)], 1), u)
+
+    a = polygon(4, 1.6951199159934145)
+    b = polygon(5, 0.25744424357926954)
+    comp = max_tensor(a, b)
+    verts = enumerate_vertices(comp)
+    assert verts.shape[0] == 60
+    assert (verts @ comp.ineqs.T).min() >= -1e-9
+    assert np.abs(verts @ comp.u - 1.0).max() <= 1e-9
+    interior = np.kron(a.vertices.mean(axis=0), b.vertices.mean(axis=0))
+    assert halfspace_vertices(comp.ineqs, comp.u, interior).shape[0] == 60
 
 
 def test_gbit_membership_grid_oracle():
@@ -140,4 +185,7 @@ def test_infeasibility_certificates_are_farkas():
             bounds=[(0.0, None)] * 4)
         res = lp.solve(prob)
         assert res.status == "infeasible"
-        assert res.certificate is not None
+        # (0, None) bounds make no rows: the certificate is on a_eq itself
+        y = res.certificate
+        assert np.all(y @ prob.a_eq <= lp.CERT_TOL)
+        assert y @ prob.b_eq > 0
