@@ -4,7 +4,8 @@ of the quantum CHSH value.
 
 Outcomes are labelled -1/+1; tables are flattened lexicographically in
 (x, y, a, b) with -1 before +1, i.e. index = 8x + 4y + 2a' + b' with
-v' = (v+1)/2.
+v' = (v+1)/2, so ``p.reshape(2, 2, 2, 2)`` is the table indexed
+[x, y, a', b'].
 """
 
 from dataclasses import dataclass
@@ -14,15 +15,25 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidSetup, InvalidTable, NotAState, NumericalFailure
-
-TOL = 1e-9
-MODEL_TOL = 1e-7
+from .lp import FEASTOL, MODEL_TOL
 
 OUTCOMES = (-1, +1)
+_AB = np.outer(OUTCOMES, OUTCOMES)  # the product a b, indexed [a', b']
+# the 8 CHSH symmetries: sign patterns [k, x, y] with an odd number of -1
+_LIFTS = 1 - 2 * np.array([s for s in np.ndindex(2, 2, 2, 2)
+                           if sum(s) % 2]).reshape(8, 2, 2)
 
 
-def _idx(x, y, a, b):
-    return 8 * x + 4 * y + 2 * ((a + 1) // 2) + (b + 1) // 2
+def _strategy_tables():
+    """Row 8 f(0)' + 4 f(1)' + 2 g(0)' + g(1)': p(a,b|x,y) = [a = f(x)] [b = g(y)]."""
+    f0, f1, g0, g1, x, y, a, b = np.indices((2,) * 8)
+    hit = (a == np.where(x, f1, f0)) & (b == np.where(y, g1, g0))
+    det = hit.reshape(16, 16).astype(float)
+    det.flags.writeable = False
+    return det
+
+
+_DET = _strategy_tables()
 
 
 @dataclass(frozen=True)
@@ -35,15 +46,15 @@ class ProbTable222:
             raise InvalidTable("need 16 entries")
         if p.min() < -1e-12:
             raise InvalidTable("negative probability")
-        for x in (0, 1):
-            for y in (0, 1):
-                s = sum(p[_idx(x, y, a, b)] for a in OUTCOMES for b in OUTCOMES)
-                if abs(s - 1.0) > TOL:
-                    raise InvalidTable(f"probabilities for inputs ({x},{y}) sum to {s}")
+        sums = p.reshape(2, 2, 4).sum(axis=2)
+        off = np.abs(sums - 1.0) > FEASTOL
+        if off.any():
+            x, y = np.argwhere(off)[0]
+            raise InvalidTable(f"probabilities for inputs ({x},{y}) sum to {sums[x, y]}")
         object.__setattr__(self, "p", p)
 
     def prob(self, a, b, x, y):
-        return float(self.p[_idx(x, y, a, b)])
+        return float(self.p.reshape(2, 2, 2, 2)[x, y, (a + 1) // 2, (b + 1) // 2])
 
 
 @dataclass(frozen=True)
@@ -51,8 +62,7 @@ class HiddenVariableModel:
     weights: np.ndarray  # over the 16 deterministic tables
 
     def table(self):
-        dets = deterministic_tables()
-        return ProbTable222(sum(w * d.p for w, d in zip(self.weights, dets)))
+        return ProbTable222(np.asarray(self.weights) @ _DET)
 
 
 @lru_cache(maxsize=1)
@@ -61,84 +71,53 @@ def deterministic_tables():
 
     Enumeration order: index = 8 f(0)' + 4 f(1)' + 2 g(0)' + g(1)'.
     """
-    out = [None] * 16
-    for f0p in (0, 1):
-        for f1p in (0, 1):
-            for g0p in (0, 1):
-                for g1p in (0, 1):
-                    f = {0: OUTCOMES[f0p], 1: OUTCOMES[f1p]}
-                    g = {0: OUTCOMES[g0p], 1: OUTCOMES[g1p]}
-                    p = np.zeros(16)
-                    for x in (0, 1):
-                        for y in (0, 1):
-                            p[_idx(x, y, f[x], g[y])] = 1.0
-                    out[8 * f0p + 4 * f1p + 2 * g0p + g1p] = ProbTable222(p)
-    return tuple(out)
+    return tuple(ProbTable222(row) for row in _DET)
 
 
 def is_nonsignalling(table):
     """Marginals independent of the remote input, within tolerance."""
-    p = table.p
-    for x in (0, 1):
-        for a in OUTCOMES:
-            m0 = sum(p[_idx(x, 0, a, b)] for b in OUTCOMES)
-            m1 = sum(p[_idx(x, 1, a, b)] for b in OUTCOMES)
-            if abs(m0 - m1) > TOL:
-                return False
-    for y in (0, 1):
-        for b in OUTCOMES:
-            m0 = sum(p[_idx(0, y, a, b)] for a in OUTCOMES)
-            m1 = sum(p[_idx(1, y, a, b)] for a in OUTCOMES)
-            if abs(m0 - m1) > TOL:
-                return False
-    return True
+    v = table.p.reshape(2, 2, 2, 2)
+    alice = v.sum(axis=3)  # [x, y, a']
+    bob = v.sum(axis=2)    # [x, y, b']
+    return not ((np.abs(alice[:, 0] - alice[:, 1]) > FEASTOL).any()
+                or (np.abs(bob[0] - bob[1]) > FEASTOL).any())
+
+
+def _correlators(table):
+    """E[x, y] = <a b> for all four input pairs."""
+    return np.einsum("xyab,ab->xy", table.p.reshape(2, 2, 2, 2), _AB)
 
 
 def expectation(table, x, y):
     """Correlator E_{x,y} = <a b> for the given input pair."""
-    p = table.p
-    return float(p[_idx(x, y, 1, 1)] + p[_idx(x, y, -1, -1)]
-                 - p[_idx(x, y, 1, -1)] - p[_idx(x, y, -1, 1)])
+    return float(_correlators(table)[x, y])
 
 
 def chsh(table):
     """E_00 + E_01 + E_10 - E_11."""
-    return (expectation(table, 0, 0) + expectation(table, 0, 1)
-            + expectation(table, 1, 0) - expectation(table, 1, 1))
+    e = _correlators(table)
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
 def lifted_chsh_max(table):
     """Max over the 8 CHSH symmetries (sign patterns with odd parity)."""
-    e = np.array([[expectation(table, x, y) for y in (0, 1)] for x in (0, 1)])
-    best = -np.inf
-    for signs in ([1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1],
-                  [-1, -1, -1, 1], [-1, -1, 1, -1], [-1, 1, -1, -1],
-                  [1, -1, -1, -1]):
-        s = np.array(signs).reshape(2, 2)
-        best = max(best, float((s * e).sum()))
-    return best
+    return float((_LIFTS * _correlators(table)).sum(axis=(1, 2)).max())
 
 
 def classify_ns_vertex(table, tol=1e-8):
     """'deterministic', 'pr', or 'other' for an NS-polytope vertex table."""
-    for t in deterministic_tables():
-        if np.abs(t.p - table.p).max() <= tol:
-            return "deterministic"
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            for gamma in (0, 1):
-                if np.abs(pr_box(alpha, beta, gamma).p - table.p).max() <= tol:
-                    return "pr"
+    if (np.abs(_DET - table.p).max(axis=1) <= tol).any():
+        return "deterministic"
+    if (np.abs(_PR - table.p).max(axis=1) <= tol).any():
+        return "pr"
     return "other"
 
 
 def classical_membership(table):
     """Hidden-variable decomposition over the 16 deterministic tables, or None."""
-    dets = deterministic_tables()
-    d = np.array([t.p for t in dets]).T  # 16 x 16
     prob = lp.LpProblem(
         n_vars=16,
-        a_eq=np.vstack([d, np.ones(16)]),
+        a_eq=np.vstack([_DET.T, np.ones(16)]),
         b_eq=np.concatenate([table.p, [1.0]]),
         bounds=[(0.0, None)] * 16,
     )
@@ -155,21 +134,18 @@ def mix_deterministic(weights):
     """Classical table from a weight vector over the deterministic strategies."""
     weights = np.asarray(weights, dtype=float)
     weights = weights / weights.sum()
-    dets = deterministic_tables()
-    return ProbTable222(sum(w * t.p for w, t in zip(weights, dets)))
+    return ProbTable222(weights @ _DET)
 
 
 def pr_box(alpha=0, beta=0, gamma=0):
     """PR-box variant: p = 1/2 where a.b = (-1)^(xy + alpha x + beta y + gamma)."""
-    p = np.zeros(16)
-    for x in (0, 1):
-        for y in (0, 1):
-            want = (-1) ** ((x * y) ^ (alpha * x) ^ (beta * y) ^ gamma)
-            for a in OUTCOMES:
-                for b in OUTCOMES:
-                    if a * b == want:
-                        p[_idx(x, y, a, b)] = 0.5
-    return ProbTable222(p)
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    # a.b = +1 exactly when a' = b'
+    odd = (x * y ^ alpha * x ^ beta * y ^ gamma) % 2
+    return ProbTable222(np.where((a ^ b) == odd, 0.5, 0.0).ravel())
+
+
+_PR = np.array([pr_box(*v).p for v in np.ndindex(2, 2, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +170,17 @@ class QubitBellSetup:
 
     def validate(self):
         rho = np.asarray(self.state, dtype=complex)
-        if rho.shape != (4, 4) or np.abs(rho - rho.conj().T).max() > TOL:
+        if rho.shape != (4, 4) or np.abs(rho - rho.conj().T).max() > FEASTOL:
             raise InvalidSetup("state must be a 4x4 Hermitian matrix")
-        if abs(np.trace(rho).real - 1.0) > TOL or \
-                np.linalg.eigvalsh(rho).min() < -TOL:
+        if abs(np.trace(rho).real - 1.0) > FEASTOL or \
+                np.linalg.eigvalsh(rho).min() < -FEASTOL:
             raise InvalidSetup("state is not a density matrix")
         for pairs in (self.alice_effects, self.bob_effects):
             for em, ep in pairs:
                 for e in (em, ep):
-                    if np.linalg.eigvalsh(np.asarray(e)).min() < -TOL:
+                    if np.linalg.eigvalsh(np.asarray(e)).min() < -FEASTOL:
                         raise InvalidSetup("effect operator not PSD")
-                if np.abs(em + ep - np.eye(2)).max() > TOL:
+                if np.abs(em + ep - np.eye(2)).max() > FEASTOL:
                     raise InvalidSetup("POVM pair does not sum to identity")
         return True
 
@@ -222,16 +198,11 @@ def observable_setup(state, alice_obs, bob_obs):
 def quantum_table(setup):
     """P(a,b|x,y) = tr[rho (E_x^a (x) F_y^b)]."""
     setup.validate()
-    rho = np.asarray(setup.state, dtype=complex)
-    p = np.zeros(16)
-    for x in (0, 1):
-        for y in (0, 1):
-            for ia, a in enumerate(OUTCOMES):
-                for ib, b in enumerate(OUTCOMES):
-                    op = np.kron(setup.alice_effects[x][ia],
-                                 setup.bob_effects[y][ib])
-                    p[_idx(x, y, a, b)] = np.trace(rho @ op).real
-    return ProbTable222(np.clip(p, 0.0, None))
+    # rho[(i j), (k l)] with i, k on Alice's side; effects indexed [x, a', k, i]
+    rho = np.asarray(setup.state, dtype=complex).reshape(2, 2, 2, 2)
+    p = np.einsum("ijkl,xaki,yblj->xyab", rho,
+                  np.asarray(setup.alice_effects), np.asarray(setup.bob_effects))
+    return ProbTable222(np.clip(p.real.ravel(), 0.0, None))
 
 
 def _direction_obs(theta):
@@ -285,8 +256,11 @@ def maximize_chsh_quantum(seed=0, iterations=200, return_trace=False):
     rho = np.outer(ket, ket.conj())
 
     def rand_obs():
+        # traceless, so the start is never +-1: from there the see-saw
+        # stays at a fixed point with value 2
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return _sign_observable(h + h.conj().T)
+        h = h + h.conj().T
+        return _sign_observable(h - np.trace(h).real / 2 * np.eye(2))
 
     alice = [rand_obs(), rand_obs()]
     bob = [rand_obs(), rand_obs()]
@@ -326,10 +300,9 @@ def _herm(m):
 # ---------------------------------------------------------------------------
 # gbit composite -> probability table
 
-_GBIT_EFFECTS = {
-    0: (np.array([0.5, 0.0, 0.5]), np.array([-0.5, 0.0, 0.5])),   # (e^x, ebar^x)
-    1: (np.array([0.0, 0.5, 0.5]), np.array([0.0, -0.5, 0.5])),   # (e^y, ebar^y)
-}
+# [x, a', :]: (ebar^x, e^x) for x = 0 and (ebar^y, e^y) for x = 1
+_GBIT_EFFECTS = np.array([[[-0.5, 0.0, 0.5], [0.5, 0.0, 0.5]],
+                          [[0.0, -0.5, 0.5], [0.0, 0.5, 0.5]]])
 
 
 def table_from_composite_state(omega, composite=None):
@@ -347,15 +320,9 @@ def table_from_composite_state(omega, composite=None):
         from .composites import contains_composite_state
         if not contains_composite_state(composite, omega):
             raise NotAState("not a state of the composite")
-    p = np.zeros(16)
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in OUTCOMES:
-                for b in OUTCOMES:
-                    ea = _GBIT_EFFECTS[x][0 if a == 1 else 1]
-                    fb = _GBIT_EFFECTS[y][0 if b == 1 else 1]
-                    p[_idx(x, y, a, b)] = np.kron(ea, fb) @ omega
-    return ProbTable222(np.clip(p, 0.0, None))
+    p = np.einsum("xam,ybn,mn->xyab", _GBIT_EFFECTS, _GBIT_EFFECTS,
+                  omega.reshape(3, 3))
+    return ProbTable222(np.clip(p.ravel(), 0.0, None))
 
 
 def table_to_json(table):

@@ -7,13 +7,12 @@ dimension laws K = N^r.
 import numpy as np
 
 from .errors import InvalidArgument, NotAState, TooFewSamples
+from .lp import FEASTOL
 from .spaces import make_classical, make_quantum
 
 PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
          np.array([[0, -1j], [1j, 0]], dtype=complex),
          np.array([[1, 0], [0, -1]], dtype=complex))
-
-TOL = 1e-9
 
 
 def bloch_to_density(r):
@@ -21,7 +20,7 @@ def bloch_to_density(r):
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise NotAState("Bloch vector must have 3 components")
-    if np.linalg.norm(r) > 1.0 + TOL:
+    if np.linalg.norm(r) > 1.0 + FEASTOL:
         raise NotAState("|r| > 1")
     return 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
                            [r[0] + 1j * r[1], 1 - r[2]]])
@@ -30,10 +29,10 @@ def bloch_to_density(r):
 def density_to_bloch(rho):
     """Inverse map: r_i = tr(rho sigma_i)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2) or np.abs(rho - rho.conj().T).max() > TOL:
+    if rho.shape != (2, 2) or np.abs(rho - rho.conj().T).max() > FEASTOL:
         raise NotAState("need a 2x2 Hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > TOL or \
-            np.linalg.eigvalsh(rho).min() < -TOL:
+    if abs(np.trace(rho).real - 1.0) > FEASTOL or \
+            np.linalg.eigvalsh(rho).min() < -FEASTOL:
         raise NotAState("not a density matrix")
     return np.array([np.trace(rho @ s).real for s in PAULI])
 
@@ -41,7 +40,7 @@ def density_to_bloch(rho):
 def unitary_to_rotation(u):
     """R_ij = tr(sigma_i U sigma_j U^dag) / 2; lands in SO(3)."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > TOL:
+    if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > FEASTOL:
         raise InvalidArgument("input is not unitary")
     r = np.empty((3, 3))
     for i in range(3):

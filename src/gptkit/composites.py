@@ -9,29 +9,21 @@ product effects, so the finite list is exact.  Vertices of the maximal
 composite are only enumerated on demand (double description) and cached.
 """
 
-import itertools
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .distinguish import perfectly_distinguishable
+from .distinguish import _largest_distinguishable, perfectly_distinguishable
 from .errors import NotAState, NumericalFailure, ScaleLimit, UnsupportedKind
-from .spaces import (Effect, Measurement, StateSpace, contains_state,
-                     coords_to_mat, is_pure, make_polytopic, mat_to_coords)
-
-TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EffectConeGenerators:
-    generators: tuple  # of Effect
+from .lp import FEASTOL, WITNESS_TOL
+from .spaces import (Effect, StateSpace, contains_state, coords_to_mat,
+                     is_pure, make_polytopic, mat_to_coords)
 
 
 def effect_cone_generators(space):
-    """Extreme rays of the dual cone of the state cone.
+    """Extreme rays of the dual cone of the state cone, as a tuple of Effects.
 
     Rays are normalized so the maximum value over the vertices is 1,
     which makes each generator a valid (in fact maximal) effect.
@@ -47,7 +39,7 @@ def effect_cone_generators(space):
         gens.append(Effect(r / top))
     # deterministic order: lexicographic on rounded coefficients
     gens.sort(key=lambda e: tuple(np.round(e.coeffs, 9)))
-    return EffectConeGenerators(tuple(gens))
+    return tuple(gens)
 
 
 @dataclass
@@ -58,19 +50,10 @@ class CompositeSpace:
     u: np.ndarray
     vertices: np.ndarray = None    # min: always; max: cached on demand
     ineqs: np.ndarray = None       # max only: rows e_i (x) f_j
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def ambient_dim(self):
         return self.factor_a.ambient_dim * self.factor_b.ambient_dim
-
-
-def _dedup_rows(rows, tol=1e-8):
-    out = []
-    for r in rows:
-        if not any(np.abs(r - q).max() <= tol for q in out):
-            out.append(r)
-    return np.array(out)
 
 
 def min_tensor(a, b):
@@ -79,15 +62,15 @@ def min_tensor(a, b):
         raise UnsupportedKind("tensor products implemented for polytopic factors")
     verts = [np.kron(va, vb) for va in a.vertices for vb in b.vertices]
     return CompositeSpace(factor_a=a, factor_b=b, kind="min",
-                          u=np.kron(a.u, b.u), vertices=_dedup_rows(verts))
+                          u=np.kron(a.u, b.u), vertices=geometry.dedup_rows(verts))
 
 
 def max_tensor(a, b):
     """All normalized vectors nonnegative on every product effect."""
     if a.kind != "polytopic" or b.kind != "polytopic":
         raise UnsupportedKind("tensor products implemented for polytopic factors")
-    gens_a = effect_cone_generators(a).generators
-    gens_b = effect_cone_generators(b).generators
+    gens_a = effect_cone_generators(a)
+    gens_b = effect_cone_generators(b)
     ineqs = np.array([np.kron(e.coeffs, f.coeffs)
                       for e in gens_a for f in gens_b])
     return CompositeSpace(factor_a=a, factor_b=b, kind="max",
@@ -98,10 +81,10 @@ def contains_composite_state(comp, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (comp.ambient_dim,):
         raise NotAState("wrong length")
-    if abs(comp.u @ x - 1.0) > TOL:
+    if abs(comp.u @ x - 1.0) > FEASTOL:
         return False
     if comp.kind == "max":
-        return (comp.ineqs @ x).min() >= -TOL
+        return (comp.ineqs @ x).min() >= -FEASTOL
     return contains_state(as_state_space(comp), x)
 
 
@@ -116,17 +99,16 @@ def enumerate_vertices(comp):
     """Full vertex list of a max composite, each certified extremal."""
     if comp.kind != "max":
         raise UnsupportedKind("vertex enumeration applies to max composites")
-    with comp._lock:
-        if comp.vertices is not None:
-            return comp.vertices
-        verts = geometry.polytope_vertices(comp.ineqs, comp.u)
-        space = make_polytopic(verts, comp.u)
-        for v in verts:
-            if not is_pure(space, v):
-                raise NumericalFailure(
-                    "double description produced a non-extremal point")
-        comp.vertices = verts
-        return verts
+    if comp.vertices is not None:
+        return comp.vertices
+    verts = geometry.polytope_vertices(comp.ineqs, comp.u)
+    space = make_polytopic(verts, comp.u)
+    for v in verts:
+        if not is_pure(space, v):
+            raise NumericalFailure(
+                "double description produced a non-extremal point")
+    comp.vertices = verts
+    return verts
 
 
 def product_state(omega_a, omega_b):
@@ -180,7 +162,7 @@ def sampled_block_positive(rho_ab_coords, dim_a, dim_b, n_samples=500, seed=0):
         psi /= np.linalg.norm(psi)
         phi /= np.linalg.norm(phi)
         vec = np.kron(psi, phi)
-        if (vec.conj() @ rho @ vec).real < -TOL:
+        if (vec.conj() @ rho @ vec).real < -FEASTOL:
             return False
     return True
 
@@ -190,7 +172,10 @@ def check_supermultiplicativity(a, b, comp=None):
 
     Builds product states from maximal distinguishable sets of the
     factors, together with the product witness measurement, and verifies
-    the joint delta condition.
+    the joint delta condition.  A polytopic factor's set comes from the
+    subset search of ``distinguish.capacity`` over all its vertices, so
+    it raises ``ScaleLimit`` past ``distinguish.MAX_SUBSETS`` subsets of
+    one size.
     """
     sets = []
     for space in (a, b):
@@ -200,17 +185,8 @@ def check_supermultiplicativity(a, b, comp=None):
                       for e_i in np.eye(n)]
             wit = perfectly_distinguishable(space, states)
         else:
-            best = None
-            verts = space.vertices
-            for size in range(verts.shape[0], 0, -1):
-                for idx in itertools.combinations(range(verts.shape[0]), size):
-                    wit = perfectly_distinguishable(space, verts[list(idx)])
-                    if wit is not None:
-                        best = wit
-                        break
-                if best is not None:
-                    break
-            wit = best
+            wit = _largest_distinguishable(space, space.vertices,
+                                           space.vertices.shape[0])
         sets.append(wit)
     wa, wb = sets
     na, nb = len(wa.states), len(wb.states)
@@ -229,7 +205,7 @@ def check_supermultiplicativity(a, b, comp=None):
         "lower_bound": n,
         "factor_capacities": (na, nb),
         "delta_error": delta_err,
-        "verified": delta_err <= 1e-7,
+        "verified": delta_err <= WITNESS_TOL,
     }
 
 

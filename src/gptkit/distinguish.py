@@ -19,7 +19,6 @@ from .errors import (InvalidArgument, NotAState, NumericalFailure, ScaleLimit,
 from .spaces import (Effect, Measurement, coords_to_mat, contains_state,
                      mat_to_coords)
 
-WITNESS_TOL = 1e-7
 MAX_SUBSETS = 10 ** 6
 
 
@@ -37,7 +36,7 @@ class DistinguishabilityWitness:
 
 
 def _checked(witness):
-    if not witness.delta_error() <= WITNESS_TOL:
+    if not witness.delta_error() <= lp.WITNESS_TOL:
         raise NumericalFailure("witness delta-error above tolerance")
     return witness
 
@@ -147,11 +146,23 @@ def capacity(space, candidates=None, n_max=8):
             raise InvalidArgument("candidate states required for this kind")
         candidates = space.vertices
     candidates = np.asarray(candidates, dtype=float)
+    wit = _largest_distinguishable(space, candidates, n_max)
+    return 0 if wit is None else len(wit.states)
+
+
+def _largest_distinguishable(space, candidates, n_max):
+    """Witness for a largest perfectly distinguishable subset of at most
+    n_max candidates, or None.
+
+    Sizes are tried from the largest down and subsets in lexicographic
+    order; the first witness found is returned.
+    """
     m = candidates.shape[0]
     for n in range(min(n_max, m), 0, -1):
         if comb(m, n) > MAX_SUBSETS:
             raise ScaleLimit("subset search too large")
         for idx in itertools.combinations(range(m), n):
-            if perfectly_distinguishable(space, candidates[list(idx)]) is not None:
-                return n
-    return 0
+            wit = perfectly_distinguishable(space, candidates[list(idx)])
+            if wit is not None:
+                return wit
+    return None

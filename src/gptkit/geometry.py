@@ -11,10 +11,7 @@ entirely adequate.
 import numpy as np
 
 from .errors import ScaleLimit
-
-_TOL = 1e-9
-# dedup tolerance for ray directions / vertices (sup-norm)
-DEDUP_TOL = 1e-8
+from .lp import DEDUP_TOL, FEASTOL
 
 
 def _normalize(r):
@@ -53,42 +50,50 @@ def cone_extreme_rays(a):
             continue
         row = a[i]
         s = np.array([row @ r for r in rays])
-        pos = [r for r, v in zip(rays, s) if v > _TOL]
-        zero = [r for r, v in zip(rays, s) if abs(v) <= _TOL]
-        neg = [r for r, v in zip(rays, s) if v < -_TOL]
+        pos = [r for r, v in zip(rays, s) if v > FEASTOL]
+        zero = [r for r, v in zip(rays, s) if abs(v) <= FEASTOL]
+        neg = [r for r, v in zip(rays, s) if v < -FEASTOL]
         new = pos + zero
         if neg:
             a_proc = a[processed]
             for rp, sp in zip(rays, s):
-                if sp <= _TOL:
+                if sp <= FEASTOL:
                     continue
                 for rn, sn in zip(rays, s):
-                    if sn >= -_TOL:
+                    if sn >= -FEASTOL:
                         continue
                     if _adjacent(a_proc, rp, rn, n):
                         comb = sp * rn - sn * rp
                         new.append(_normalize(comb))
-        rays = _dedup(new)
+        rays = dedup_rows(new)
         processed.append(i)
     return np.array(rays)
 
 
 def _adjacent(a_proc, r1, r2, n):
     """True iff r1, r2 are adjacent: shared tight constraints have rank n-2."""
-    t1 = np.abs(a_proc @ r1) <= _TOL
-    t2 = np.abs(a_proc @ r2) <= _TOL
+    t1 = np.abs(a_proc @ r1) <= FEASTOL
+    t2 = np.abs(a_proc @ r2) <= FEASTOL
     shared = a_proc[t1 & t2]
     if shared.shape[0] < n - 2:
         return False
     return np.linalg.matrix_rank(shared, tol=1e-10) >= n - 2
 
 
-def _dedup(rays):
-    out = []
-    for r in rays:
-        if not any(np.abs(r - q).max() <= DEDUP_TOL for q in out):
-            out.append(r)
-    return out
+def dedup_rows(rows, tol=DEDUP_TOL):
+    """The rows with near-duplicates dropped, in first-occurrence order.
+
+    A row is dropped when it lies within ``tol`` (sup-norm) of a row
+    already kept.
+    """
+    rows = np.asarray(rows, dtype=float)
+    out = np.empty_like(rows)
+    k = 0
+    for r in rows:
+        if not (np.abs(out[:k] - r).max(axis=1) <= tol).any():
+            out[k] = r
+            k += 1
+    return out[:k]
 
 
 def polytope_vertices(ineqs, u, max_ineqs=64, max_dim=16):
@@ -107,14 +112,10 @@ def polytope_vertices(ineqs, u, max_ineqs=64, max_dim=16):
     verts = []
     for r in rays:
         h = u @ r
-        if h <= _TOL:
+        if h <= FEASTOL:
             raise ScaleLimit("unbounded polytope: ray with u.r <= 0")
         verts.append(r / h)
-    out = []
-    for v in verts:
-        if not any(np.abs(v - w).max() <= DEDUP_TOL for w in out):
-            out.append(v)
-    return np.array(out)
+    return dedup_rows(verts)
 
 
 def dual_cone_rays(generators):

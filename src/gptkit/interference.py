@@ -9,15 +9,13 @@ residual.  Replacing the orthogonal projectors by general
 trace-nonincreasing blocking maps breaks the identity.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EmptySubset, InvalidArgument, InvalidKraus,
                      WrongSlitCount)
-
-TOL = 1e-9
+from .lp import FEASTOL
 
 SUBSETS_3 = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
 
@@ -41,12 +39,13 @@ class SlitExperiment:
         q = np.asarray(self.q, dtype=complex)
         if rho.shape != (self.m, self.m) or q.shape != (self.m, self.m):
             raise InvalidArgument("rho and q must be m x m matrices")
-        if np.abs(rho - rho.conj().T).max() > TOL or \
-                abs(np.trace(rho).real - 1.0) > TOL or \
-                np.linalg.eigvalsh(rho).min() < -TOL:
+        if np.abs(rho - rho.conj().T).max() > FEASTOL or \
+                abs(np.trace(rho).real - 1.0) > FEASTOL or \
+                np.linalg.eigvalsh(rho).min() < -FEASTOL:
             raise InvalidArgument("rho is not a density matrix")
         ev = np.linalg.eigvalsh((q + q.conj().T) / 2)
-        if np.abs(q - q.conj().T).max() > TOL or ev.min() < -TOL or ev.max() > 1 + TOL:
+        if np.abs(q - q.conj().T).max() > FEASTOL or ev.min() < -FEASTOL or \
+                ev.max() > 1 + FEASTOL:
             raise InvalidArgument("q is not an effect (0 <= Q <= 1)")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "q", q)
@@ -103,7 +102,7 @@ class BlockingMap:
         if not ops:
             raise InvalidKraus("need at least one Kraus operator")
         total = sum(k.conj().T @ k for k in ops)
-        if np.linalg.eigvalsh(total).max() > 1.0 + TOL:
+        if np.linalg.eigvalsh(total).max() > 1.0 + FEASTOL:
             raise InvalidKraus("sum K^dag K exceeds the identity")
         object.__setattr__(self, "kraus", ops)
 

@@ -30,6 +30,16 @@ from .errors import DimensionMismatch, NumericalFailure
 FEASTOL = 1e-9
 # Farkas certificates are validated at a looser tolerance.
 CERT_TOL = 1e-7
+# A hidden-variable model rebuilt from LP weights must reproduce its Bell
+# table to this; each entry sums 16 weights, each feasible only to FEASTOL.
+MODEL_TOL = 1e-7
+# A distinguishability witness from the LP must reach e_i(omega_j) = delta_ij
+# to this; each value sums effect coefficients solved only to FEASTOL.
+WITNESS_TOL = 1e-7
+# Double-description rays and vertices within this sup-norm distance are one
+# point: normalising and recombining rays moves a vertex reached along two
+# paths by more than FEASTOL, while distinct vertices lie much further apart.
+DEDUP_TOL = 1e-8
 # Pivot threshold: entries smaller than this are treated as zero.
 _PIVTOL = 1e-10
 

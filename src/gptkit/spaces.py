@@ -16,48 +16,42 @@ ball).  The effect set is always the full dual interval [0, u]
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from . import lp
 from .errors import (DimensionMismatch, InvalidArgument, NotAState,
                      SingularMap, UnsupportedKind)
-
-TOL = lp.FEASTOL
+from .geometry import dedup_rows
+from .lp import FEASTOL
 
 
 # ---------------------------------------------------------------------------
 # fixed Hermitian coordinate basis for quantum spaces
 
+@lru_cache(maxsize=16)
 def hermitian_basis(n):
-    """Orthonormal basis of Hermitian n x n matrices (Hilbert-Schmidt).
+    """Orthonormal basis of Hermitian n x n matrices (Hilbert-Schmidt),
+    as a read-only (n^2, n, n) array.
 
     Order: the n diagonal units, then for each i<j (lexicographic) the
     pair (|i><j| + |j><i|)/sqrt2 and i(|i><j| - |j><i|)/sqrt2.
     """
-    basis = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[range(n), range(n), range(n)] = 1.0
     s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = s
-            m[j, i] = s
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1j * s
-            m[j, i] = -1j * s
-            basis.append(m)
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        basis[n + 2 * k, [i, j], [j, i]] = s
+        basis[n + 2 * k + 1, [i, j], [j, i]] = 1j * s, -1j * s
+    basis.flags.writeable = False
     return basis
 
 
 def mat_to_coords(m):
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    return np.array([np.trace(b.conj().T @ m).real for b in hermitian_basis(n)])
+    return np.einsum("kij,ij->k", hermitian_basis(m.shape[0]).conj(), m).real
 
 
 def coords_to_mat(c):
@@ -65,8 +59,7 @@ def coords_to_mat(c):
     n = int(round(np.sqrt(c.size)))
     if n * n != c.size:
         raise DimensionMismatch("coordinate length is not a perfect square")
-    basis = hermitian_basis(n)
-    return sum(ci * bi for ci, bi in zip(c, basis))
+    return np.tensordot(c, hermitian_basis(n), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +79,7 @@ class StateSpace:
         if self.vertices is not None:
             object.__setattr__(self, "vertices",
                                np.asarray(self.vertices, dtype=float))
-            if np.abs(self.vertices @ self.u - 1.0).max() > TOL:
+            if np.abs(self.vertices @ self.u - 1.0).max() > FEASTOL:
                 raise InvalidArgument("vertex with u(v) != 1")
 
 
@@ -112,7 +105,7 @@ class Measurement:
 
     def validate(self, space):
         total = sum(e.coeffs for e in self.effects)
-        if np.abs(total - space.u).max() > TOL:
+        if np.abs(total - space.u).max() > FEASTOL:
             raise InvalidArgument("effects do not sum to the unit functional")
         for e in self.effects:
             if not is_effect(space, e):
@@ -211,11 +204,11 @@ def contains_state(space, x):
         return lp.solve(prob).status == "optimal"
     if space.kind == "quantum":
         rho = coords_to_mat(x)
-        if abs(np.trace(rho).real - 1.0) > TOL:
+        if abs(np.trace(rho).real - 1.0) > FEASTOL:
             return False
-        return np.linalg.eigvalsh(rho).min() >= -TOL
+        return np.linalg.eigvalsh(rho).min() >= -FEASTOL
     if space.kind == "ball":
-        return abs(x[0] - 1.0) <= TOL and np.linalg.norm(x[1:]) <= 1.0 + TOL
+        return abs(x[0] - 1.0) <= FEASTOL and np.linalg.norm(x[1:]) <= 1.0 + FEASTOL
     raise UnsupportedKind(space.kind)
 
 
@@ -224,14 +217,14 @@ def is_effect(space, e):
     c = _check_dim(space, e.coeffs if isinstance(e, Effect) else e)
     if space.kind == "polytopic":
         vals = space.vertices @ c
-        return vals.min() >= -TOL and vals.max() <= 1.0 + TOL
+        return vals.min() >= -FEASTOL and vals.max() <= 1.0 + FEASTOL
     if space.kind == "quantum":
         em = coords_to_mat(c)
         ev = np.linalg.eigvalsh(em)
-        return ev.min() >= -TOL and ev.max() <= 1.0 + TOL
+        return ev.min() >= -FEASTOL and ev.max() <= 1.0 + FEASTOL
     if space.kind == "ball":
         const, w = c[0], c[1:]
-        return np.linalg.norm(w) <= min(const, 1.0 - const) + TOL
+        return np.linalg.norm(w) <= min(const, 1.0 - const) + FEASTOL
     raise UnsupportedKind(space.kind)
 
 
@@ -242,7 +235,7 @@ def is_pure(space, omega):
         raise NotAState("argument is not a valid state")
     if space.kind == "polytopic":
         verts = space.vertices
-        match = np.where(np.abs(verts - omega).max(axis=1) <= TOL)[0]
+        match = np.where(np.abs(verts - omega).max(axis=1) <= FEASTOL)[0]
         if match.size == 0:
             return False
         others = np.delete(verts, match[0], axis=0)
@@ -258,9 +251,9 @@ def is_pure(space, omega):
         return lp.solve(prob).status == "infeasible"
     if space.kind == "quantum":
         rho = coords_to_mat(omega)
-        return np.linalg.eigvalsh(rho).max() >= 1.0 - TOL
+        return np.linalg.eigvalsh(rho).max() >= 1.0 - FEASTOL
     if space.kind == "ball":
-        return np.linalg.norm(omega[1:]) >= 1.0 - TOL
+        return np.linalg.norm(omega[1:]) >= 1.0 - FEASTOL
     raise UnsupportedKind(space.kind)
 
 
@@ -299,13 +292,13 @@ def is_transformation(space, t, n_samples=1000, seed=0):
     if space.kind == "polytopic":
         return all(contains_state(space, m @ v) for v in space.vertices)
     # normalization must be preserved: u o T = u
-    if np.abs(space.u @ m - space.u).max() > TOL:
+    if np.abs(space.u @ m - space.u).max() > FEASTOL:
         return False
     if space.kind == "ball":
         shift = m[1:, 0]
         block = m[1:, 1:]
-        if np.linalg.norm(shift) <= TOL:
-            return np.linalg.norm(block, 2) <= 1.0 + TOL
+        if np.linalg.norm(shift) <= FEASTOL:
+            return np.linalg.norm(block, 2) <= 1.0 + FEASTOL
     for s in _sampled_pure_states(space, n_samples, seed):
         if not contains_state(space, m @ s):
             return False
@@ -323,31 +316,27 @@ def is_reversible_transformation(space, t, n_samples=1000, seed=0):
         img = space.vertices @ tmap.matrix.T
         return _same_vertex_set(img, space.vertices)
     if space.kind == "ball":
-        if np.abs(space.u @ tmap.matrix - space.u).max() > TOL:
+        if np.abs(space.u @ tmap.matrix - space.u).max() > FEASTOL:
             return False
         shift = tmap.matrix[1:, 0]
         block = tmap.matrix[1:, 1:]
-        return (np.linalg.norm(shift) <= TOL
-                and np.abs(block.T @ block - np.eye(block.shape[0])).max() <= TOL)
+        return (np.linalg.norm(shift) <= FEASTOL
+                and np.abs(block.T @ block - np.eye(block.shape[0])).max() <= FEASTOL)
     inv = tmap.inverse()
     return (is_transformation(space, tmap, n_samples, seed)
             and is_transformation(space, inv, n_samples, seed))
 
 
-def _same_vertex_set(a, b, tol=TOL):
+def _same_vertex_set(a, b, tol=FEASTOL):
+    """Do the rows of a and b match one to one within tol?"""
     if a.shape != b.shape:
         return False
-    used = set()
-    for v in a:
-        hit = None
-        for j, w in enumerate(b):
-            if j not in used and np.abs(v - w).max() <= tol:
-                hit = j
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True
+    points = dedup_rows(np.vstack([a, b]), tol)
+
+    def multiplicities(rows):
+        return [(np.abs(rows - p).max(axis=1) <= tol).sum() for p in points]
+
+    return multiplicities(a) == multiplicities(b)
 
 
 def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):

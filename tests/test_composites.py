@@ -15,14 +15,14 @@ from gptkit.spaces import (make_ball, make_classical, make_gbit, make_quantum,
 
 def test_classical_effect_generators():
     c3 = make_classical(3)
-    gens = effect_cone_generators(c3).generators
+    gens = effect_cone_generators(c3)
     coeffs = sorted(tuple(np.round(g.coeffs, 9)) for g in gens)
     assert coeffs == sorted(tuple(row) for row in np.eye(3))
 
 
 def test_gbit_effect_generators():
     g = make_gbit()
-    gens = effect_cone_generators(g).generators
+    gens = effect_cone_generators(g)
     expected = {(0.5, 0.0, 0.5), (-0.5, 0.0, 0.5),
                 (0.0, 0.5, 0.5), (0.0, -0.5, 0.5)}
     got = {tuple(np.round(e.coeffs, 9)) for e in gens}
