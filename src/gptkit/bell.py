@@ -44,6 +44,8 @@ class ProbTable222:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (16,):
             raise InvalidTable("need 16 entries")
+        if not np.isfinite(p).all():
+            raise InvalidTable("table has a non-finite entry")
         if p.min() < -1e-12:
             raise InvalidTable("negative probability")
         sums = p.reshape(2, 2, 4).sum(axis=2)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .distinguish import _largest_distinguishable, perfectly_distinguishable
+from .distinguish import (DistinguishabilityWitness, _largest_distinguishable,
+                          perfectly_distinguishable)
 from .errors import NotAState, NumericalFailure, ScaleLimit, UnsupportedKind
 from .lp import FEASTOL, WITNESS_TOL
-from .spaces import (Effect, StateSpace, contains_state, coords_to_mat,
-                     is_pure, make_polytopic, mat_to_coords)
+from .spaces import (Effect, Measurement, StateSpace, contains_state,
+                     coords_to_mat, make_polytopic, mat_to_coords)
 
 
 def effect_cone_generators(space):
@@ -96,15 +97,24 @@ def as_state_space(comp):
 
 
 def enumerate_vertices(comp):
-    """Full vertex list of a max composite, each certified extremal."""
+    """Full vertex list of a max composite, each certified extremal.
+
+    The certificate uses the H-representation alone: each vertex v is
+    feasible (``ineqs @ v >= 0`` and u.v = 1), and the rows of ``ineqs``
+    tight at v, stacked with u, have full rank, so v is the only point
+    of the polytope on the face those rows cut out.
+    """
     if comp.kind != "max":
         raise UnsupportedKind("vertex enumeration applies to max composites")
     if comp.vertices is not None:
         return comp.vertices
     verts = geometry.polytope_vertices(comp.ineqs, comp.u)
-    space = make_polytopic(verts, comp.u)
-    for v in verts:
-        if not is_pure(space, v):
+    for v, vals in zip(verts, verts @ comp.ineqs.T):
+        if vals.min() < -FEASTOL or abs(comp.u @ v - 1.0) > FEASTOL:
+            raise NumericalFailure(
+                "double description produced an infeasible point")
+        face = np.vstack([comp.ineqs[np.abs(vals) <= FEASTOL], comp.u])
+        if np.linalg.matrix_rank(face, tol=1e-10) < comp.ambient_dim:
             raise NumericalFailure(
                 "double description produced a non-extremal point")
     comp.vertices = verts
@@ -194,15 +204,14 @@ def check_supermultiplicativity(a, b, comp=None):
     prod_effects = [Effect(np.kron(ea.coeffs, eb.coeffs))
                     for ea in wa.measurement.effects
                     for eb in wb.measurement.effects]
-    vals = np.array([[e(s) for s in prod_states] for e in prod_effects])
-    n = na * nb
-    delta_err = float(np.abs(vals[:n, :n] - np.eye(n)).max())
+    delta_err = DistinguishabilityWitness(
+        Measurement(tuple(prod_effects)), np.array(prod_states)).delta_error()
     if comp is not None:
         for s in prod_states:
             if not contains_composite_state(comp, s):
                 raise NotAState("product state outside the composite")
     return {
-        "lower_bound": n,
+        "lower_bound": na * nb,
         "factor_capacities": (na, nb),
         "delta_error": delta_err,
         "verified": delta_err <= WITNESS_TOL,

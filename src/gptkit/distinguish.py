@@ -57,35 +57,25 @@ def perfectly_distinguishable(space, states):
     raise UnsupportedKind(space.kind)
 
 
+def _block_diagonal(n, block):
+    """np.kron(np.eye(n), block) by broadcasting, which skips most of
+    kron's per-call overhead on blocks this small."""
+    rows, cols = block.shape
+    grid = np.eye(n)[:, None, :, None] * block[:, None]
+    return grid.reshape(n * rows, n * cols)
+
+
 def _polytopic_witness(space, states, n):
-    # variables: n blocks of effect coefficients, one per state
+    # variables: n blocks of effect coefficients, one per state.  Each
+    # block is nonnegative on the vertices, the blocks sum to u, and
+    # block i takes the value delta_ij on state j.
     k = space.ambient_dim
-    verts = space.vertices
-    nv = verts.shape[0]
-    a_ub = np.zeros((n * nv, n * k))
-    for i in range(n):
-        a_ub[i * nv:(i + 1) * nv, i * k:(i + 1) * k] = verts
-    b_ub = np.zeros(n * nv)
-
-    eqs = []
-    rhs = []
-    # sum of effects = u
-    for c in range(k):
-        row = np.zeros(n * k)
-        for i in range(n):
-            row[i * k + c] = 1.0
-        eqs.append(row)
-        rhs.append(space.u[c])
-    # e_i(omega_j) = delta_ij
-    for i in range(n):
-        for j in range(n):
-            row = np.zeros(n * k)
-            row[i * k:(i + 1) * k] = states[j]
-            eqs.append(row)
-            rhs.append(1.0 if i == j else 0.0)
-
-    prob = lp.LpProblem(n_vars=n * k, a_eq=np.array(eqs), b_eq=np.array(rhs),
-                        a_ub=a_ub, b_ub=b_ub)
+    a_ub = _block_diagonal(n, space.vertices)
+    prob = lp.LpProblem(
+        n_vars=n * k,
+        a_eq=np.vstack([np.tile(np.eye(k), n), _block_diagonal(n, states)]),
+        b_eq=np.concatenate([space.u, np.eye(n).ravel()]),
+        a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]))
     res = lp.solve(prob)
     if res.status != "optimal":
         return None

@@ -3,15 +3,21 @@
 ``cone_extreme_rays`` enumerates the extreme rays of {x : A x >= 0} for a
 pointed cone (rank(A) = dim).  It is the workhorse behind dual-cone
 (effect cone) generation and vertex enumeration of maximal tensor
-products.  Sizes around here are tiny (tens of inequalities, dimension
-<= 16), so the incremental algorithm with an algebraic adjacency test is
-entirely adequate.
+products.  Each step keeps the rays' tight rows as a boolean incidence
+matrix and decides adjacency combinatorially (Fukuda & Prodon, "Double
+description method revisited", 1996): two rays are adjacent when they
+share at least dim - 2 tight rows and no third ray is tight on all of
+them.
 """
 
 import numpy as np
 
 from .errors import ScaleLimit
 from .lp import DEDUP_TOL, FEASTOL
+
+# Desk-scale limits of ``polytope_vertices``.
+MAX_INEQS = 64
+MAX_DIM = 16
 
 
 def _normalize(r):
@@ -43,41 +49,29 @@ def cone_extreme_rays(a):
     m, n = a.shape
     base = _initial_basis_rows(a)
     binv = np.linalg.inv(a[base])
-    rays = [_normalize(binv[:, j]) for j in range(n)]
+    rays = np.array([_normalize(binv[:, j]) for j in range(n)])
     processed = list(base)
     for i in range(m):
         if i in base:
             continue
-        row = a[i]
-        s = np.array([row @ r for r in rays])
-        pos = [r for r, v in zip(rays, s) if v > FEASTOL]
-        zero = [r for r, v in zip(rays, s) if abs(v) <= FEASTOL]
-        neg = [r for r, v in zip(rays, s) if v < -FEASTOL]
-        new = pos + zero
-        if neg:
-            a_proc = a[processed]
-            for rp, sp in zip(rays, s):
-                if sp <= FEASTOL:
-                    continue
-                for rn, sn in zip(rays, s):
-                    if sn >= -FEASTOL:
-                        continue
-                    if _adjacent(a_proc, rp, rn, n):
-                        comb = sp * rn - sn * rp
-                        new.append(_normalize(comb))
+        s = np.array([a[i] @ r for r in rays])
+        pos = np.flatnonzero(s > FEASTOL)
+        neg = np.flatnonzero(s < -FEASTOL)
+        new = list(rays[pos]) + list(rays[np.abs(s) <= FEASTOL])
+        if neg.size:
+            tight = np.abs(rays @ a[processed].T) <= FEASTOL
+            loose = (~tight).astype(float)
+            for p in pos:
+                shared = tight[neg] & tight[p]
+                cand = shared.sum(axis=1) >= n - 2
+                # adjacent: no ray but p and the negative one is tight on
+                # every shared row
+                misses = shared[cand].astype(float) @ loose.T
+                adj = neg[cand][(misses == 0).sum(axis=1) == 2]
+                new += [_normalize(s[p] * rays[j] - s[j] * rays[p]) for j in adj]
         rays = dedup_rows(new)
         processed.append(i)
-    return np.array(rays)
-
-
-def _adjacent(a_proc, r1, r2, n):
-    """True iff r1, r2 are adjacent: shared tight constraints have rank n-2."""
-    t1 = np.abs(a_proc @ r1) <= FEASTOL
-    t2 = np.abs(a_proc @ r2) <= FEASTOL
-    shared = a_proc[t1 & t2]
-    if shared.shape[0] < n - 2:
-        return False
-    return np.linalg.matrix_rank(shared, tol=1e-10) >= n - 2
+    return rays
 
 
 def dedup_rows(rows, tol=DEDUP_TOL):
@@ -96,7 +90,7 @@ def dedup_rows(rows, tol=DEDUP_TOL):
     return out[:k]
 
 
-def polytope_vertices(ineqs, u, max_ineqs=64, max_dim=16):
+def polytope_vertices(ineqs, u):
     """Vertices of {x : ineqs @ x >= 0, u.x = 1} via double description.
 
     The inequality system must define a pointed cone whose every extreme
@@ -104,10 +98,10 @@ def polytope_vertices(ineqs, u, max_ineqs=64, max_dim=16):
     """
     ineqs = np.asarray(ineqs, dtype=float)
     u = np.asarray(u, dtype=float)
-    if ineqs.shape[0] > max_ineqs:
-        raise ScaleLimit(f"too many inequalities ({ineqs.shape[0]} > {max_ineqs})")
-    if ineqs.shape[1] > max_dim:
-        raise ScaleLimit(f"dimension too large ({ineqs.shape[1]} > {max_dim})")
+    if ineqs.shape[0] > MAX_INEQS:
+        raise ScaleLimit(f"too many inequalities ({ineqs.shape[0]} > {MAX_INEQS})")
+    if ineqs.shape[1] > MAX_DIM:
+        raise ScaleLimit(f"dimension too large ({ineqs.shape[1]} > {MAX_DIM})")
     rays = cone_extreme_rays(ineqs)
     verts = []
     for r in rays:

@@ -76,9 +76,13 @@ class StateSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        if not np.isfinite(self.u).all():
+            raise InvalidArgument("non-finite entry in u")
         if self.vertices is not None:
             object.__setattr__(self, "vertices",
                                np.asarray(self.vertices, dtype=float))
+            if not np.isfinite(self.vertices).all():
+                raise InvalidArgument("non-finite vertex coordinate")
             if np.abs(self.vertices @ self.u - 1.0).max() > FEASTOL:
                 raise InvalidArgument("vertex with u(v) != 1")
 

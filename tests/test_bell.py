@@ -18,6 +18,16 @@ def test_table_validation():
     assert t.prob(-1, -1, 0, 0) == 1.0
 
 
+def test_non_finite_table_rejected():
+    for bad in (np.nan, np.inf):
+        p = np.full(16, 0.25)
+        p[5] = bad
+        with pytest.raises(InvalidTable):
+            bell.ProbTable222(p)
+    with pytest.raises(InvalidTable):
+        bell.ProbTable222(np.full(16, np.nan))
+
+
 def test_deterministic_tables():
     dets = bell.deterministic_tables()
     assert len(dets) == 16

@@ -139,6 +139,16 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+def test_non_finite_table_exit_code(capsys):
+    # json.loads reads the bare NaN literal that json.dumps writes
+    code, _, err = run_cli(capsys, ["chsh", "--table", "-"],
+                           stdin=json.dumps({"p": [float("nan")] * 16}))
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"] == "invalid_input"
+    assert "table" in doc["message"]
+
+
 def test_scale_limit_exit_code(capsys, tmp_path):
     big = tmp_path / "c11.json"
     big.write_text(spaces.space_to_json(spaces.make_classical(11)))

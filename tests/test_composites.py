@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from gptkit import composites
+from gptkit import geometry
 from gptkit.composites import (check_supermultiplicativity,
                                contains_composite_state,
                                effect_cone_generators, enumerate_vertices,
@@ -141,8 +143,30 @@ def test_non_polytopic_rejected():
         max_tensor(make_ball(3), make_gbit())
 
 
+def _outside_arrangement_vertex(comp):
+    """A point where dim - 1 rows are tight and u.x = 1, outside the polytope.
+
+    Its tight rows with u have full rank, so only the feasibility test
+    can reject it.
+    """
+    n = comp.ambient_dim
+    for rows in itertools.combinations(range(comp.ineqs.shape[0]), n - 1):
+        face = np.vstack([comp.ineqs[list(rows)], comp.u])
+        if np.linalg.matrix_rank(face) == n:
+            x = np.linalg.solve(face, np.eye(n)[-1])
+            if (comp.ineqs @ x).min() < -1e-3:
+                return x
+    raise AssertionError("no infeasible arrangement vertex")
+
+
 def test_enumerated_vertices_are_checked(monkeypatch):
-    monkeypatch.setattr(composites, "is_pure", lambda space, v: False)
+    # the double description's output gains a non-extremal point (the
+    # centroid), then a point that is not feasible; both must be refused
     g = make_gbit()
-    with pytest.raises(NumericalFailure):
-        enumerate_vertices(max_tensor(g, g))
+    comp = max_tensor(g, g)
+    verts = geometry.polytope_vertices(comp.ineqs, comp.u)
+    for point in (verts.mean(axis=0), _outside_arrangement_vertex(comp)):
+        monkeypatch.setattr(geometry, "polytope_vertices",
+                            lambda ineqs, u, p=point: np.vstack([verts, p]))
+        with pytest.raises(NumericalFailure):
+            enumerate_vertices(max_tensor(g, g))

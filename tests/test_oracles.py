@@ -142,22 +142,29 @@ def test_purity_on_96_vertices_matches_qhull(seed, vertex):
     assert ours == (vertex in ConvexHull(pts).vertices)
 
 
-def test_turned_square_pentagon_vertices_match_qhull():
-    u = np.array([0.0, 0.0, 1.0])
+def polygon(n, turn=0.0):
+    t = 2 * np.pi * np.arange(n) / n + turn
+    return make_polytopic(np.stack([np.cos(t), np.sin(t), np.ones(n)], 1),
+                          np.array([0.0, 0.0, 1.0]))
 
-    def polygon(n, turn):
-        t = 2 * np.pi * np.arange(n) / n + turn
-        return make_polytopic(np.stack([np.cos(t), np.sin(t), np.ones(n)], 1), u)
 
-    a = polygon(4, 1.6951199159934145)
-    b = polygon(5, 0.25744424357926954)
+def check_max_tensor_vertices(a, b, count):
     comp = max_tensor(a, b)
     verts = enumerate_vertices(comp)
-    assert verts.shape[0] == 60
+    assert verts.shape[0] == count
     assert (verts @ comp.ineqs.T).min() >= -1e-9
     assert np.abs(verts @ comp.u - 1.0).max() <= 1e-9
     interior = np.kron(a.vertices.mean(axis=0), b.vertices.mean(axis=0))
-    assert halfspace_vertices(comp.ineqs, comp.u, interior).shape[0] == 60
+    assert halfspace_vertices(comp.ineqs, comp.u, interior).shape[0] == count
+
+
+def test_turned_square_pentagon_vertices_match_qhull():
+    check_max_tensor_vertices(polygon(4, 1.6951199159934145),
+                              polygon(5, 0.25744424357926954), 60)
+
+
+def test_hexagon_hexagon_vertices_match_qhull():
+    check_max_tensor_vertices(polygon(6), polygon(6), 552)
 
 
 def test_gbit_membership_grid_oracle():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gptkit import spaces
-from gptkit.errors import DimensionMismatch, NotAState, SingularMap
+from gptkit.errors import (DimensionMismatch, InvalidArgument, NotAState,
+                           SingularMap)
 from gptkit.spaces import (Effect, LinearMap, Measurement, are_equivalent,
                            contains_state, coords_to_mat, hermitian_basis,
                            is_effect, is_pure, is_reversible_transformation,
@@ -162,3 +163,12 @@ def test_json_roundtrip():
 def test_vertex_normalization_checked():
     with pytest.raises(Exception):
         make_polytopic([[1.0, 2.0]], [0.0, 1.0])
+
+
+def test_non_finite_space_rejected():
+    verts = make_gbit().vertices.copy()
+    verts[2, 0] = np.nan
+    with pytest.raises(InvalidArgument):
+        make_polytopic(verts, [0.0, 0.0, 1.0])
+    with pytest.raises(InvalidArgument):
+        make_polytopic(make_gbit().vertices, [0.0, np.inf, 1.0])
