@@ -183,9 +183,10 @@ def check_supermultiplicativity(a, b, comp=None):
     Builds product states from maximal distinguishable sets of the
     factors, together with the product witness measurement, and verifies
     the joint delta condition.  A polytopic factor's set comes from the
-    subset search of ``distinguish.capacity`` over all its vertices, so
-    it raises ``ScaleLimit`` past ``distinguish.MAX_SUBSETS`` subsets of
-    one size.
+    subset search of ``distinguish.capacity`` over all its vertices.  That
+    search tries no size above the rank of the vertices, and raises
+    ``ScaleLimit`` only when a size it tries has more than
+    ``distinguish.MAX_SUBSETS`` subsets.
     """
     sets = []
     for space in (a, b):

@@ -43,11 +43,19 @@ def _checked(witness):
 
 def perfectly_distinguishable(space, states):
     """Witness measurement for joint perfect distinguishability, or None."""
+    states = _valid_states(space, states)
+    return _witness(space, states, states.shape[0])
+
+
+def _valid_states(space, states):
     states = np.asarray(states, dtype=float)
     for s in states:
         if not contains_state(space, s):
             raise NotAState("all inputs must be valid states")
-    n = states.shape[0]
+    return states
+
+
+def _witness(space, states, n):
     if space.kind == "polytopic":
         return _polytopic_witness(space, states, n)
     if space.kind == "quantum":
@@ -126,6 +134,12 @@ def capacity(space, candidates=None, n_max=8):
     (for polytopes, distinguishable states can be replaced by extremal
     ones, so this is exact).  For other kinds an explicit candidate list
     gives a lower bound; quantum spaces are answered analytically.
+
+    Every candidate is checked to be a state before the search starts
+    (``NotAState`` otherwise).  Distinguishable states are linearly
+    independent, so no size above the rank of the candidates is tried;
+    ``ScaleLimit`` is raised when a size that is tried has more than
+    ``MAX_SUBSETS`` subsets.
     """
     if n_max < 1:
         raise InvalidArgument("need n_max >= 1")
@@ -135,7 +149,6 @@ def capacity(space, candidates=None, n_max=8):
         if space.kind != "polytopic":
             raise InvalidArgument("candidate states required for this kind")
         candidates = space.vertices
-    candidates = np.asarray(candidates, dtype=float)
     wit = _largest_distinguishable(space, candidates, n_max)
     return 0 if wit is None else len(wit.states)
 
@@ -144,15 +157,24 @@ def _largest_distinguishable(space, candidates, n_max):
     """Witness for a largest perfectly distinguishable subset of at most
     n_max candidates, or None.
 
-    Sizes are tried from the largest down and subsets in lexicographic
-    order; the first witness found is returned.
+    The candidates are checked to be states once, up front.  Since
+    e_i(omega_j) = delta_ij makes distinguishable states linearly
+    independent, sizes above the rank of the candidates are not searched
+    and subsets of lower rank than size are skipped without an LP.  Sizes
+    are tried from the largest down and subsets in lexicographic order;
+    the first witness found is returned.  Raises ``ScaleLimit`` when a
+    searched size has more than ``MAX_SUBSETS`` subsets.
     """
+    candidates = _valid_states(space, candidates)
     m = candidates.shape[0]
-    for n in range(min(n_max, m), 0, -1):
+    for n in range(min(n_max, m, np.linalg.matrix_rank(candidates)), 0, -1):
         if comb(m, n) > MAX_SUBSETS:
             raise ScaleLimit("subset search too large")
         for idx in itertools.combinations(range(m), n):
-            wit = perfectly_distinguishable(space, candidates[list(idx)])
+            subset = candidates[list(idx)]
+            if np.linalg.matrix_rank(subset) < n:
+                continue
+            wit = _witness(space, subset, n)
             if wit is not None:
                 return wit
     return None

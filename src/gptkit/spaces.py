@@ -186,18 +186,25 @@ def make_polytopic(vertices, u):
 # ---------------------------------------------------------------------------
 # decision procedures
 
-def _check_dim(space, x):
+def _check_dim(space, x, what):
     x = np.asarray(x, dtype=float)
     if x.shape != (space.ambient_dim,):
         raise DimensionMismatch(f"expected length {space.ambient_dim}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidArgument(f"{what} has a non-finite coordinate")
     return x
 
 
 def contains_state(space, x):
-    """Is x a valid normalized state of the space?"""
-    x = _check_dim(space, x)
+    """Is x a valid normalized state of the space?
+
+    A polytopic point equal to a listed vertex is a state without an LP.
+    """
+    x = _check_dim(space, x, "state")
     if space.kind == "polytopic":
         verts = space.vertices
+        if (verts == x).all(axis=1).any():
+            return True
         k = verts.shape[0]
         prob = lp.LpProblem(
             n_vars=k,
@@ -218,7 +225,7 @@ def contains_state(space, x):
 
 def is_effect(space, e):
     """Is e a linear functional with range [0,1] on all states?"""
-    c = _check_dim(space, e.coeffs if isinstance(e, Effect) else e)
+    c = _check_dim(space, e.coeffs if isinstance(e, Effect) else e, "effect")
     if space.kind == "polytopic":
         vals = space.vertices @ c
         return vals.min() >= -FEASTOL and vals.max() <= 1.0 + FEASTOL
@@ -234,7 +241,7 @@ def is_effect(space, e):
 
 def is_pure(space, omega):
     """Is omega an extremal point of the state space?"""
-    omega = _check_dim(space, omega)
+    omega = _check_dim(space, omega, "state")
     if not contains_state(space, omega):
         raise NotAState("argument is not a valid state")
     if space.kind == "polytopic":

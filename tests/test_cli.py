@@ -149,6 +149,19 @@ def test_non_finite_table_exit_code(capsys):
     assert "table" in doc["message"]
 
 
+def test_non_finite_state_exit_code(capsys, tmp_path):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(spaces.space_to_json(spaces.make_gbit()))
+    code, out, err = run_cli(
+        capsys, ["distinguish", "--space", str(space_file), "--states", "-"],
+        stdin=json.dumps({"states": [[float("nan"), 0, 1], [1, 1, 1]]}))
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "invalid_input"
+    assert doc["message"] == "state has a non-finite coordinate"
+
+
 def test_scale_limit_exit_code(capsys, tmp_path):
     big = tmp_path / "c11.json"
     big.write_text(spaces.space_to_json(spaces.make_classical(11)))

@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from gptkit import geometry
+from gptkit import distinguish, geometry
 from gptkit.composites import (check_supermultiplicativity,
                                contains_composite_state,
                                effect_cone_generators, enumerate_vertices,
@@ -13,6 +14,8 @@ from gptkit.composites import (check_supermultiplicativity,
 from gptkit.errors import NumericalFailure, ScaleLimit, UnsupportedKind
 from gptkit.spaces import (make_ball, make_classical, make_gbit, make_quantum,
                            mat_to_coords)
+
+from .conftest import polygon
 
 
 def test_classical_effect_generators():
@@ -134,6 +137,24 @@ def test_supermultiplicativity():
     rep = check_supermultiplicativity(make_quantum(2), make_quantum(2))
     assert rep["verified"]
     assert rep["lower_bound"] == 4
+
+
+def test_supermultiplicativity_octagons(monkeypatch):
+    # distinguishable states are linearly independent, so in dimension 3
+    # no subset of more than 3 octagon vertices is tried
+    octagon = polygon(8)
+    sizes = []
+    witness = distinguish._witness
+    monkeypatch.setattr(distinguish, "_witness",
+                        lambda space, states, n: sizes.append(n)
+                        or witness(space, states, n))
+    start = time.perf_counter()
+    rep = check_supermultiplicativity(octagon, octagon)
+    assert time.perf_counter() - start < 1.0
+    assert max(sizes) == 3
+    assert rep["verified"]
+    assert rep["lower_bound"] == 4
+    assert rep["factor_capacities"] == (2, 2)
 
 
 def test_non_polytopic_rejected():

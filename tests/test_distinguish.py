@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gptkit import distinguish, lp
-from gptkit.distinguish import capacity, perfectly_distinguishable
-from gptkit.errors import NotAState, NumericalFailure
-from gptkit.spaces import (make_ball, make_classical, make_gbit, make_quantum,
-                           mat_to_coords)
+from gptkit.distinguish import (_largest_distinguishable, capacity,
+                                perfectly_distinguishable)
+from gptkit.errors import NotAState, NumericalFailure, ScaleLimit
+from gptkit.spaces import (contains_state, make_ball, make_classical, make_gbit,
+                           make_quantum, mat_to_coords)
+
+from .conftest import polygon
 
 
 def test_classical_basis_distinguishable():
@@ -81,3 +86,116 @@ def test_polytopic_witness_is_checked(monkeypatch):
     monkeypatch.setattr(distinguish.lp, "solve", lambda prob: wrong)
     with pytest.raises(NumericalFailure):
         perfectly_distinguishable(make_gbit(), make_gbit().vertices[:2])
+
+
+def gbit_with_collinear_mixtures():
+    """The gbit's vertices, then three mixtures on the diagonal v0-v2.
+    The first mixture, the centre, lies on the diagonal v1-v3 as well."""
+    v = make_gbit().vertices
+    mixtures = [w * v[0] + (1 - w) * v[2] for w in (0.5, 0.75, 0.25)]
+    return np.vstack([v, mixtures])
+
+
+def brute_force(space, candidates, n_max=8):
+    """Every subset from the largest size down, each through the public
+    perfectly_distinguishable with its own state checks."""
+    for n in range(min(n_max, len(candidates)), 0, -1):
+        for idx in itertools.combinations(range(len(candidates)), n):
+            wit = perfectly_distinguishable(space, candidates[list(idx)])
+            if wit is not None:
+                return wit
+    return None
+
+
+SEARCH_CASES = ([(f"{n}-gon", polygon(n), None) for n in range(3, 9)]
+                + [(f"classical {n}", make_classical(n), None)
+                   for n in range(2, 9)]
+                + [("gbit", make_gbit(), None),
+                   ("gbit+collinear", make_gbit(), gbit_with_collinear_mixtures())])
+
+
+@pytest.mark.parametrize("label,space,candidates", SEARCH_CASES,
+                         ids=[c[0] for c in SEARCH_CASES])
+def test_search_matches_brute_force(label, space, candidates):
+    if candidates is None:
+        candidates = space.vertices
+    ref = brute_force(space, candidates)
+    wit = _largest_distinguishable(space, candidates, 8)
+    assert wit.states.tobytes() == ref.states.tobytes()
+    assert ([e.coeffs.tobytes() for e in wit.measurement.effects]
+            == [e.coeffs.tobytes() for e in ref.measurement.effects])
+    assert capacity(space, candidates) == len(ref.states)
+
+
+def test_rank_deficient_subsets_pose_no_lp(monkeypatch):
+    g = make_gbit()
+    candidates = gbit_with_collinear_mixtures()
+    posed = []
+    witness = distinguish._polytopic_witness
+
+    def recording(space, states, n):
+        posed.append(tuple(int(np.flatnonzero((candidates == s).all(axis=1))[0])
+                           for s in states))
+        return witness(space, states, n)
+
+    monkeypatch.setattr(distinguish, "_polytopic_witness", recording)
+    assert capacity(g, candidates) == 2
+    triples = list(itertools.combinations(range(7), 3))
+    flat = [t for t in triples if np.linalg.matrix_rank(candidates[list(t)]) < 3]
+    # three points on either diagonal: (v0, v2) with the mixtures, and
+    # (v1, v3) through the centre
+    assert len(flat) == 11 and (4, 5, 6) in flat and (1, 3, 4) in flat
+    assert posed == [t for t in triples if t not in flat] + [(0, 1)]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_lp_counts(monkeypatch):
+    # exact counts: checking each subset's states again, or posing an LP
+    # for a subset of lower rank than size, changes them
+    solves = count_calls(monkeypatch, lp, "solve")
+    g = make_gbit()
+    assert contains_state(g, g.vertices[1])
+    assert len(solves) == 0
+    assert capacity(polygon(6)) == 2
+    assert len(solves) == 22  # the 20 triples, then pairs (0, 1) and (0, 2)
+    solves.clear()
+    assert capacity(make_classical(8)) == 8
+    assert len(solves) == 1
+    solves.clear()
+    checks = count_calls(monkeypatch, distinguish, "contains_state")
+    assert capacity(g, gbit_with_collinear_mixtures()) == 2
+    assert len(checks) == 7  # each candidate once
+    assert len(solves) == 3 + 25  # the mixtures' checks, then 25 witness LPs
+
+
+def test_invalid_candidate_rejected_up_front(monkeypatch):
+    g = make_gbit()
+    # the pair (v0, v2) would be found before the bad point is reached
+    candidates = np.vstack([g.vertices[[0, 2]], [[2.0, 2.0, 1.0]]])
+    monkeypatch.setattr(distinguish, "_witness", None)  # must not be reached
+    with pytest.raises(NotAState):
+        capacity(g, candidates, n_max=2)
+
+
+def test_scale_limit_only_on_searched_sizes():
+    # 32 candidates of rank 2: the C(32, 8) > MAX_SUBSETS subsets of size
+    # 8 are never enumerated, and the first pair is distinguishable
+    w = np.linspace(0.02, 0.98, 30)
+    candidates = np.vstack([np.eye(2), np.stack([w, 1 - w], 1)])
+    assert capacity(make_classical(2), candidates) == 2
+    # with rank 8, size 8 is searched and C(38, 8) is too many
+    c8 = make_classical(8)
+    mixtures = np.random.default_rng(0).dirichlet(np.ones(8), size=30)
+    with pytest.raises(ScaleLimit):
+        capacity(c8, np.vstack([c8.vertices, mixtures]))

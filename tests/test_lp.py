@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gptkit import lp
-from gptkit.errors import DimensionMismatch
+from gptkit.errors import DimensionMismatch, NumericalFailure
 
 
 def test_box_maximum():
@@ -112,3 +112,13 @@ def test_negative_rhs_rows():
     res = lp.solve(prob)
     assert res.status == "optimal"
     assert abs(res.x[0] - res.x[1] + 3.0) < 1e-9
+
+
+def test_bound_check():
+    # a missing bound is never violated; a finite one only beyond FEASTOL
+    prob = lp.LpProblem(n_vars=3, bounds=[(0.0, None), (None, 1.0), (None, None)])
+    lp._check_feasible(prob, np.array([-0.5e-9, 1.0 + 0.5e-9, -1.0]))
+    with pytest.raises(NumericalFailure, match="lower bound violated"):
+        lp._check_feasible(prob, np.array([-1e-6, 0.0, 0.0]))
+    with pytest.raises(NumericalFailure, match="upper bound violated"):
+        lp._check_feasible(prob, np.array([0.0, 1.0 + 1e-6, 0.0]))

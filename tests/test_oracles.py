@@ -18,6 +18,7 @@ from gptkit.distinguish import perfectly_distinguishable
 from gptkit.spaces import (contains_state, is_pure, make_classical, make_gbit,
                            make_polytopic)
 
+from .conftest import polygon
 from .oracles import (facet_margin, facet_membership, halfspace_vertices,
                       scipy_convex_combination_feasible,
                       scipy_distinguishable)
@@ -140,12 +141,6 @@ def test_purity_on_96_vertices_matches_qhull(seed, vertex):
     u[-1] = 1.0
     ours = is_pure(make_polytopic(verts, u), verts[vertex])
     assert ours == (vertex in ConvexHull(pts).vertices)
-
-
-def polygon(n, turn=0.0):
-    t = 2 * np.pi * np.arange(n) / n + turn
-    return make_polytopic(np.stack([np.cos(t), np.sin(t), np.ones(n)], 1),
-                          np.array([0.0, 0.0, 1.0]))
 
 
 def check_max_tensor_vertices(a, b, count):

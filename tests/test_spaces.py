@@ -172,3 +172,17 @@ def test_non_finite_space_rejected():
         make_polytopic(verts, [0.0, 0.0, 1.0])
     with pytest.raises(InvalidArgument):
         make_polytopic(make_gbit().vertices, [0.0, np.inf, 1.0])
+
+
+@pytest.mark.parametrize("space", [make_gbit(), make_quantum(2), make_ball(3)],
+                         ids=["polytopic", "quantum", "ball"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected(space, bad):
+    x = space.u / (space.u @ space.u)  # a normalized point
+    x[-1] = bad
+    with pytest.raises(InvalidArgument, match="state has a non-finite"):
+        contains_state(space, x)
+    with pytest.raises(InvalidArgument, match="state has a non-finite"):
+        is_pure(space, x)
+    with pytest.raises(InvalidArgument, match="effect has a non-finite"):
+        is_effect(space, Effect(x))
