@@ -159,11 +159,10 @@ def _largest_distinguishable(space, candidates, n_max):
 
     The candidates are checked to be states once, up front.  Since
     e_i(omega_j) = delta_ij makes distinguishable states linearly
-    independent, sizes above the rank of the candidates are not searched
-    and subsets of lower rank than size are skipped without an LP.  Sizes
-    are tried from the largest down and subsets in lexicographic order;
-    the first witness found is returned.  Raises ``ScaleLimit`` when a
-    searched size has more than ``MAX_SUBSETS`` subsets.
+    independent, sizes above the rank of the candidates are not searched.
+    Sizes are tried from the largest down and subsets in lexicographic
+    order; the first witness found is returned.  Raises ``ScaleLimit``
+    when a searched size has more than ``MAX_SUBSETS`` subsets.
     """
     candidates = _valid_states(space, candidates)
     m = candidates.shape[0]
@@ -171,10 +170,7 @@ def _largest_distinguishable(space, candidates, n_max):
         if comb(m, n) > MAX_SUBSETS:
             raise ScaleLimit("subset search too large")
         for idx in itertools.combinations(range(m), n):
-            subset = candidates[list(idx)]
-            if np.linalg.matrix_rank(subset) < n:
-                continue
-            wit = _witness(space, subset, n)
+            wit = _witness(space, candidates[list(idx)], n)
             if wit is not None:
                 return wit
     return None

