@@ -186,8 +186,12 @@ def check_supermultiplicativity(a, b, comp=None):
     subset search of ``distinguish.capacity`` over all its vertices.  That
     search tries no size above the rank of the vertices, and raises
     ``ScaleLimit`` only when a size it tries has more than
-    ``distinguish.MAX_SUBSETS`` subsets.
+    ``distinguish.MAX_SUBSETS`` subsets.  A factor of any other kind raises
+    ``UnsupportedKind``.
     """
+    if not {a.kind, b.kind} <= {"quantum", "polytopic"}:
+        raise UnsupportedKind("supermultiplicativity check needs quantum or "
+                              "polytopic factors")
     sets = []
     for space in (a, b):
         if space.kind == "quantum":

@@ -56,6 +56,9 @@ def _valid_states(space, states):
 
 
 def _witness(space, states, n):
+    if n == 1 and space.kind in ("polytopic", "ball"):
+        # the unit effect alone tells a single state apart
+        return DistinguishabilityWitness(Measurement((Effect(space.u),)), states)
     if space.kind == "polytopic":
         return _polytopic_witness(space, states, n)
     if space.kind == "quantum":
@@ -74,20 +77,22 @@ def _block_diagonal(n, block):
 
 
 def _polytopic_witness(space, states, n):
-    # variables: n blocks of effect coefficients, one per state.  Each
-    # block is nonnegative on the vertices, the blocks sum to u, and
-    # block i takes the value delta_ij on state j.
-    k = space.ambient_dim
-    a_ub = _block_diagonal(n, space.vertices)
+    # variables: the coefficients of effects e_1 .. e_{n-1}, and
+    # e_n = u - sum_i e_i.  Every effect, e_n included, is nonnegative on
+    # the vertices, and e_i takes the value delta_ij on state j for i < n;
+    # e_n(omega_j) = delta_nj then follows from u(omega_j) = 1.
+    k, verts = space.ambient_dim, space.vertices
+    a_ub = np.vstack([_block_diagonal(n - 1, verts), np.tile(-verts, n - 1)])
     prob = lp.LpProblem(
-        n_vars=n * k,
-        a_eq=np.vstack([np.tile(np.eye(k), n), _block_diagonal(n, states)]),
-        b_eq=np.concatenate([space.u, np.eye(n).ravel()]),
-        a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]))
+        n_vars=(n - 1) * k,
+        a_eq=_block_diagonal(n - 1, states), b_eq=np.eye(n)[:n - 1].ravel(),
+        a_ub=a_ub,
+        b_ub=np.concatenate([np.zeros((n - 1) * len(verts)), -verts @ space.u]))
     res = lp.solve(prob)
     if res.status != "optimal":
         return None
-    effects = [Effect(res.x[i * k:(i + 1) * k]) for i in range(n)]
+    coeffs = res.x.reshape(n - 1, k)
+    effects = [Effect(c) for c in coeffs] + [Effect(space.u - coeffs.sum(axis=0))]
     return _checked(DistinguishabilityWitness(Measurement(tuple(effects)), states))
 
 
@@ -114,9 +119,6 @@ def _quantum_witness(space, states, n):
 
 
 def _ball_witness(space, states, n):
-    if n == 1:
-        return DistinguishabilityWitness(
-            Measurement((Effect(space.u),)), states)
     if n > 2:
         return None  # ball capacity is 2
     r1, r2 = states[0][1:], states[1][1:]

@@ -6,13 +6,22 @@ for both the entering and the leaving variable, so every answer is fully
 deterministic and cycling is impossible.  Problem sizes around here never
 exceed a few hundred variables.
 
-The standard form writes x = x0 + T z with z >= 0.  A variable with a
-finite lower bound is shifted onto it, one with only an upper bound is
-shifted and negated, and only free variables are split into z+ - z-.  Rows
-of ``a_ub`` and the upper bounds of boxed variables get one surplus column
-each; lower bounds make no rows.  A membership LP over k vertices in
-dimension K is thus a (K + 1) x k tableau.  Every pivot, in both phases, is
-one rank-1 update.
+The standard form writes x = x0 + T z with z >= 0, where T has one entry
++-1 per column and is kept as (variable, sign) index arrays.  A variable
+with a finite lower bound is shifted onto it, one with only an upper bound
+is shifted and negated, and only free variables are split into z+ - z-.
+Rows of ``a_ub`` and the upper bounds of boxed variables get one surplus
+column each; lower bounds make no rows.  A membership LP over k vertices in
+dimension K is thus a (K + 1) x k tableau.
+
+The tableau is [A | b] with rows flipped so that b >= 0, plus two rows
+below it holding the phase-1 and phase-2 reduced costs (and minus each
+objective value in the last column).  Every pivot, in both phases, is one
+rank-1 update of the whole tableau, cost rows included.  Phase 1 starts
+from one artificial per row in the basis.  Artificial columns are not
+stored: an artificial that leaves the basis never re-enters, and phase 1
+still ends at zero exactly when the system is feasible.  A feasibility
+problem (``objective=None``) returns after phase 1.
 
 Infeasible verdicts are certified: phase 1 ends with a Farkas vector
 y = c_B B^{-1} with y^T A <= 0 and y^T b > 0 for the standard-form system.
@@ -103,97 +112,100 @@ def _pivot(tab, basis, r, j):
     tab[r] /= tab[r, j]
     col = tab[:, j].copy()
     col[r] = 0.0
-    tab -= np.outer(col, tab[r])
+    tab -= col[:, None] * tab[r]
     basis[r] = j
 
 
-def _bland_simplex(tab, basis, cost, allowed, maxiter):
-    """Minimize cost over the canonical tableau ``tab`` = [A | b].
+def _bland_simplex(tab, basis, cost_row, maxiter):
+    """Minimize the cost whose reduced costs are row ``cost_row`` of the
+    canonical tableau ``tab``: m constraint rows [A | b], then two cost rows.
 
-    ``allowed`` marks columns that may enter the basis.  Returns "optimal"
-    or "unbounded"; ``tab`` and ``basis`` are updated in place.
+    Returns "optimal" or "unbounded"; ``tab`` and ``basis`` are updated in
+    place.
     """
-    ncols = tab.shape[1] - 1
+    m = tab.shape[0] - 2
+    reduced = tab[cost_row, :-1]
     for _ in range(maxiter):
-        reduced = cost - cost[basis] @ tab[:, :ncols]
-        candidates = np.where(allowed & (reduced < -_PIVTOL))[0]
-        if candidates.size == 0:
+        j = (reduced < -_PIVTOL).argmax()  # Bland: lowest index enters
+        if reduced[j] >= -_PIVTOL:
             return "optimal"
-        j = candidates[0]  # Bland: lowest index enters
-        col = tab[:, j]
-        rows = np.where(col > _PIVTOL)[0]
+        col = tab[:m, j]
+        rows = (col > _PIVTOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = tab[rows, -1] / col[rows]
         tied = rows[ratios <= ratios.min() + _PIVTOL]
-        r = tied[np.argmin(basis[tied])]  # Bland: lowest basis index leaves
+        r = tied[basis[tied].argmin()]  # Bland: lowest basis index leaves
         _pivot(tab, basis, r, j)
     raise NumericalFailure("simplex iteration cap exceeded")
 
 
 def _standard_form(prob):
-    """Rewrite as min c.z, A z = b, z >= 0 with x = x0 + T z.
+    """Phase-1 tableau of min c.z, A z = b, z >= 0 with x = x0 + T z.
 
     A finite lower bound is shifted onto (x = lo + z), an upper bound alone
     is shifted and negated (x = hi - z), and only free variables are split
-    (x = z+ - z-).  Rows of ``a_ub`` and the upper bounds of boxed variables
-    become ``>=`` rows with one surplus column each; lower bounds make no
-    rows.  Returns (a, b, c, x0, t).
+    (x = z+ - z-); column k of T is ``sign[k]`` at row ``var[k]``.  Rows of
+    ``a_ub`` and the upper bounds of boxed variables become ``>=`` rows with
+    one surplus column each; lower bounds make no rows.  Rows with b < 0
+    are negated (``flip``).  Returns (tab, x0, var, sign, flip), where
+    ``tab`` is [A | b] with the phase-1 and phase-2 reduced-cost rows of the
+    all-artificial basis below it.
     """
     n = prob.n_vars
-    x0 = np.zeros(n)
-    cols = []  # (variable, sign) of each column of T
-    boxed, widths = [], []  # column and hi - lo of each boxed variable
-    bounds = prob.bounds if prob.bounds is not None else [(None, None)] * n
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            cols += [(i, 1.0), (i, -1.0)]
-            continue
-        if lo is not None and hi is not None:
-            boxed.append(len(cols))
-            widths.append(hi - lo)
-        x0[i] = hi if lo is None else lo
-        cols.append((i, -1.0 if lo is None else 1.0))
-    t = np.zeros((n, len(cols)))
-    for k, (i, sign) in enumerate(cols):
-        t[i, k] = sign
+    if prob.bounds is None:
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    else:
+        lo = np.array([-np.inf if b[0] is None else b[0] for b in prob.bounds], float)
+        hi = np.array([np.inf if b[1] is None else b[1] for b in prob.bounds], float)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    var = np.repeat(np.arange(n), 1 + ~(has_lo | has_hi))
+    sign = np.where(has_lo, 1.0, -1.0)[var]
+    sign[:-1][var[1:] == var[:-1]] = 1.0  # z+ of a split free variable
+    x0 = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    boxed = np.flatnonzero((has_lo & has_hi)[var])
 
-    def rows(a, b):
-        return (np.zeros((0, n)), np.zeros(0)) if a is None else (a, b)
+    m_eq = 0 if prob.a_eq is None else prob.a_eq.shape[0]
+    m_ub = 0 if prob.a_ub is None else prob.a_ub.shape[0]
+    n_sur = m_ub + boxed.size
+    m, nz = m_eq + n_sur, var.size
+    tab = np.zeros((m + 2, nz + n_sur + 1))
+    if m_eq:
+        tab[:m_eq, :nz] = prob.a_eq[:, var] * sign
+        tab[:m_eq, -1] = prob.b_eq - prob.a_eq @ x0
+    if m_ub:
+        tab[m_eq:m_eq + m_ub, :nz] = prob.a_ub[:, var] * sign
+        tab[m_eq:m_eq + m_ub, -1] = prob.b_ub - prob.a_ub @ x0
+    if n_sur:
+        tab[m_eq + m_ub + np.arange(boxed.size), boxed] = -1.0
+        tab[m_eq + m_ub:m, -1] = (lo - hi)[var[boxed]]
+        tab[m_eq + np.arange(n_sur), nz + np.arange(n_sur)] = -1.0
 
-    a_eq, b_eq = rows(prob.a_eq, prob.b_eq)
-    a_ub, b_ub = rows(prob.a_ub, prob.b_ub)
-    g = np.vstack([a_ub @ t, -np.eye(len(cols))[boxed]])
-    a = np.block([[a_eq @ t, np.zeros((len(b_eq), len(g)))], [g, -np.eye(len(g))]])
-    b = np.concatenate([b_eq - a_eq @ x0, b_ub - a_ub @ x0, -np.array(widths)])
-    c = np.zeros(a.shape[1])
+    flip = tab[:m, -1] < 0
+    tab[:m][flip] *= -1.0
+    tab[m] = -tab[:m].sum(axis=0)  # phase 1: minimise the sum of artificials
     if prob.objective is not None:
-        c[:len(cols)] = -prob.objective @ t  # maximize -> minimize
-    return a, b, c, x0, t
+        tab[m + 1, :nz] = -prob.objective[var] * sign  # maximize -> minimize
+    return tab, x0, var, sign, flip
 
 
 def solve(prob: LpProblem, maxiter: int = MAX_PIVOTS) -> LpResult:
     """Solve an LP; optimal solutions satisfy all constraints within FEASTOL."""
-    a, b, c, x0, t = _standard_form(prob)
-    m, ncols = a.shape
+    tab, x0, var, sign, flip = _standard_form(prob)
+    m, ncols = tab.shape[0] - 2, tab.shape[1] - 1
+    basis = np.arange(ncols, ncols + m)  # artificial i has index ncols + i
 
-    # flip rows so the rhs is nonnegative
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # phase 1: artificial basis
-    tab = np.hstack([a, np.eye(m), b[:, None]])
-    basis = np.arange(ncols, ncols + m)
-    cost1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    allowed = np.ones(ncols + m, dtype=bool)
-    _bland_simplex(tab, basis, cost1, allowed, maxiter)
-    if cost1[basis] @ tab[:, -1] > FEASTOL:
+    a, b = tab[:m, :-1].copy(), tab[:m, -1].copy()  # for the Farkas vector
+    _bland_simplex(tab, basis, m, maxiter)
+    art = basis >= ncols
+    if tab[:m, -1][art].sum() > FEASTOL:
         # Farkas certificate from the simplex multipliers y = c1_B B^{-1},
         # with B taken from the original columns of [A | I], not the tableau.
-        full = np.hstack([a, np.eye(m)])
+        full = np.zeros((m, m))
+        full[:, ~art] = a[:, basis[~art]]
+        full[basis[art] - ncols, art] = 1.0
         try:
-            y = np.linalg.solve(full[:, basis].T, cost1[basis])
+            y = np.linalg.solve(full.T, art.astype(float))
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular basis at the end of phase 1") from None
         if np.any(y @ a > CERT_TOL) or y @ b <= CERT_TOL * max(1.0, np.abs(b).max()):
@@ -201,21 +213,19 @@ def solve(prob: LpProblem, maxiter: int = MAX_PIVOTS) -> LpResult:
         y[flip] *= -1.0
         return LpResult(status="infeasible", certificate=y)
 
-    # drive any artificials still in the basis out of it
-    for r in np.where(basis >= ncols)[0]:
-        nz = np.where(np.abs(tab[r, :ncols]) > _PIVTOL)[0]
-        if nz.size:  # else the row is redundant, harmless
-            _pivot(tab, basis, r, nz[0])
+    if prob.objective is not None:
+        # drive any artificials still in the basis out of it
+        for r in np.flatnonzero(art):
+            nz = np.flatnonzero(np.abs(tab[r, :ncols]) > _PIVTOL)
+            if nz.size:  # else the row is redundant, harmless
+                _pivot(tab, basis, r, nz[0])
+        if _bland_simplex(tab, basis, m + 1, maxiter) == "unbounded":
+            return LpResult(status="unbounded")
 
-    # phase 2
-    cost2 = np.concatenate([c, np.zeros(m)])
-    allowed = np.arange(ncols + m) < ncols
-    if _bland_simplex(tab, basis, cost2, allowed, maxiter) == "unbounded":
-        return LpResult(status="unbounded")
-
-    z = np.zeros(ncols + m)
-    z[basis] = tab[:, -1]
-    x = x0 + t @ z[:t.shape[1]]
+    z = np.zeros(ncols)
+    struct = basis < ncols
+    z[basis[struct]] = tab[:m, -1][struct]
+    x = x0 + np.bincount(var, weights=sign * z[:var.size], minlength=prob.n_vars)
     _check_feasible(prob, x)
     obj = float(prob.objective @ x) if prob.objective is not None else 0.0
     return LpResult(status="optimal", x=x, objective_value=obj)

@@ -162,6 +162,13 @@ def test_non_polytopic_rejected():
         max_tensor(make_ball(3), make_gbit())
 
 
+def test_supermultiplicativity_rejects_ball_factor():
+    with pytest.raises(UnsupportedKind):
+        check_supermultiplicativity(make_ball(3), make_ball(3))
+    with pytest.raises(UnsupportedKind):
+        check_supermultiplicativity(make_gbit(), make_ball(3))
+
+
 def _outside_arrangement_vertex(comp):
     """A point where dim - 1 rows are tight and u.x = 1, outside the polytope.
 

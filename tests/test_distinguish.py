@@ -82,10 +82,24 @@ def test_witness_is_valid_measurement():
 
 def test_polytopic_witness_is_checked(monkeypatch):
     # zero effects from the solver miss e_i(omega_j) = delta_ij by 1
-    wrong = lp.LpResult(status="optimal", x=np.zeros(6))
-    monkeypatch.setattr(distinguish.lp, "solve", lambda prob: wrong)
+    monkeypatch.setattr(distinguish.lp, "solve", lambda prob: lp.LpResult(
+        status="optimal", x=np.zeros(prob.n_vars)))
     with pytest.raises(NumericalFailure):
         perfectly_distinguishable(make_gbit(), make_gbit().vertices[:2])
+
+
+def test_single_state_needs_no_lp(monkeypatch):
+    # one state is told apart by the unit effect alone; a listed vertex also
+    # passes its state check without an LP
+    def no_lp(prob):
+        raise AssertionError("an LP was posed")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    space = polygon(5)
+    wit = perfectly_distinguishable(space, space.vertices[[2]])
+    assert len(wit.measurement.effects) == 1
+    assert np.array_equal(wit.measurement.effects[0].coeffs, space.u)
+    assert wit.delta_error() <= 1e-12
 
 
 def gbit_with_collinear_mixtures():

@@ -95,6 +95,21 @@ def test_distinguishability_matches_highs(seed):
 # Each variable's bounds are drawn from these, so the shifted, the shifted
 # and negated, the boxed and the split variables of the standard form all run.
 BOUND_KINDS = [(0.0, 2.0), (-1.0, 2.0), (None, 1.0), (-1.0, None), (None, None)]
+# What a draw changes after the rest is drawn: nothing, nothing, drop the
+# objective (a feasibility problem stops after phase 1), or repeat the first
+# equality row with its rhs (phase 1 then ends with an artificial in the
+# basis at zero, and the drive-out before phase 2 runs).
+VARIANTS = ("plain", "plain", "no objective", "repeated row")
+
+
+def max_violation(prob, x):
+    """Largest amount by which x breaks a constraint or bound of prob."""
+    lo = np.array([-np.inf if b[0] is None else b[0] for b in prob.bounds])
+    hi = np.array([np.inf if b[1] is None else b[1] for b in prob.bounds])
+    parts = [lo - x, x - hi, prob.b_ub - prob.a_ub @ x]
+    if prob.a_eq is not None:
+        parts.append(np.abs(prob.a_eq @ x - prob.b_eq))
+    return float(np.concatenate(parts).max())
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,8 +125,14 @@ def test_lp_matches_highs(seed):
     a_ub = rng.normal(size=(m_ub, n))
     b_ub = rng.normal(size=m_ub)
     bounds = [BOUND_KINDS[k] for k in rng.integers(len(BOUND_KINDS), size=n)]
+    variant = VARIANTS[rng.integers(len(VARIANTS))]
+    objective = None if variant == "no objective" else c
+    if variant == "repeated row":
+        if a_eq is None:
+            a_eq, b_eq = rng.normal(size=(1, n)), rng.normal(size=1)
+        a_eq, b_eq = np.vstack([a_eq, a_eq[:1]]), np.concatenate([b_eq, b_eq[:1]])
 
-    prob = lp.LpProblem(n_vars=n, objective=c, a_eq=a_eq, b_eq=b_eq,
+    prob = lp.LpProblem(n_vars=n, objective=objective, a_eq=a_eq, b_eq=b_eq,
                         a_ub=a_ub, b_ub=b_ub, bounds=bounds)
     ours = lp.solve(prob)
 
@@ -120,10 +141,14 @@ def test_lp_matches_highs(seed):
         return linprog(objective, A_ub=-a_ub, b_ub=-b_ub, A_eq=a_eq,
                        b_eq=b_eq, bounds=bounds, method="highs")
 
-    ref = highs(-c)
+    # a feasibility problem is HiGHS's with a zero objective
+    ref = highs(np.zeros(n) if objective is None else -c)
     if ref.status == 0:
         assert ours.status == "optimal", seed
         assert abs(ours.objective_value + ref.fun) < 1e-6, seed
+        # solve's own guarantee: FEASTOL, relative to the largest |x_i| > 1
+        scale = max(1.0, float(np.abs(ours.x).max()))
+        assert max_violation(prob, ours.x) <= lp.FEASTOL * scale, seed
         return
     # status 2 also covers "unbounded or infeasible"; a zero objective
     # tells the two apart
