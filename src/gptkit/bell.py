@@ -117,16 +117,10 @@ def classify_ns_vertex(table, tol=1e-8):
 
 def classical_membership(table):
     """Hidden-variable decomposition over the 16 deterministic tables, or None."""
-    prob = lp.LpProblem(
-        n_vars=16,
-        a_eq=np.vstack([_DET.T, np.ones(16)]),
-        b_eq=np.concatenate([table.p, [1.0]]),
-        bounds=[(0.0, None)] * 16,
-    )
-    res = lp.solve(prob)
-    if res.status != "optimal":
+    weights = lp.hull_weights(_DET, table.p)
+    if weights is None:
         return None
-    model = HiddenVariableModel(weights=res.x)
+    model = HiddenVariableModel(weights=weights)
     if not np.abs(model.table().p - table.p).max() <= MODEL_TOL:
         raise NumericalFailure("hidden-variable model misses the table")
     return model

@@ -20,7 +20,8 @@ from .distinguish import (DistinguishabilityWitness, _largest_distinguishable,
 from .errors import NotAState, NumericalFailure, ScaleLimit, UnsupportedKind
 from .lp import FEASTOL, WITNESS_TOL
 from .spaces import (Effect, Measurement, StateSpace, contains_state,
-                     coords_to_mat, make_polytopic, mat_to_coords)
+                     coords_to_mat, make_polytopic, mat_to_coords,
+                     space_to_json)
 
 
 def effect_cone_generators(space):
@@ -33,7 +34,7 @@ def effect_cone_generators(space):
         raise UnsupportedKind("effect cone generation needs a polytopic space")
     if space.ambient_dim > 10:
         raise ScaleLimit("ambient dimension above 10")
-    rays = geometry.dual_cone_rays(space.vertices)
+    rays = geometry.cone_extreme_rays(space.vertices)
     gens = []
     for r in rays:
         top = (space.vertices @ r).max()
@@ -226,8 +227,8 @@ def check_supermultiplicativity(a, b, comp=None):
 def composite_to_json(comp):
     doc = {
         "kind": comp.kind,
-        "factors": [json.loads(_space_json(comp.factor_a)),
-                    json.loads(_space_json(comp.factor_b))],
+        "factors": [json.loads(space_to_json(comp.factor_a)),
+                    json.loads(space_to_json(comp.factor_b))],
         "u": comp.u.tolist(),
     }
     if comp.vertices is not None:
@@ -235,8 +236,3 @@ def composite_to_json(comp):
     if comp.ineqs is not None:
         doc["ineqs"] = comp.ineqs.tolist()
     return json.dumps(doc)
-
-
-def _space_json(space):
-    from .spaces import space_to_json
-    return space_to_json(space)

@@ -43,6 +43,8 @@ def _checked(witness):
 
 def perfectly_distinguishable(space, states):
     """Witness measurement for joint perfect distinguishability, or None."""
+    if len(states) == 0:
+        raise InvalidArgument("need at least one state")
     states = _valid_states(space, states)
     return _witness(space, states, states.shape[0])
 
@@ -76,22 +78,31 @@ def _block_diagonal(n, block):
     return grid.reshape(n * rows, n * cols)
 
 
+def _split(a):
+    """``a`` over free variables c, rewritten over c+, c- >= 0 with
+    c = c+ - c-: column j becomes columns 2j (a_j) and 2j + 1 (-a_j)."""
+    return np.stack([a, -a], axis=2).reshape(a.shape[0], -1)
+
+
 def _polytopic_witness(space, states, n):
     # variables: the coefficients of effects e_1 .. e_{n-1}, and
     # e_n = u - sum_i e_i.  Every effect, e_n included, is nonnegative on
     # the vertices, and e_i takes the value delta_ij on state j for i < n;
-    # e_n(omega_j) = delta_nj then follows from u(omega_j) = 1.
+    # e_n(omega_j) = delta_nj then follows from u(omega_j) = 1.  The
+    # coefficients are free, and the LP's variables are >= 0, so each is
+    # posed as c+ - c- in two adjacent columns.
     k, verts = space.ambient_dim, space.vertices
     a_ub = np.vstack([_block_diagonal(n - 1, verts), np.tile(-verts, n - 1)])
     prob = lp.LpProblem(
-        n_vars=(n - 1) * k,
-        a_eq=_block_diagonal(n - 1, states), b_eq=np.eye(n)[:n - 1].ravel(),
-        a_ub=a_ub,
+        n_vars=2 * (n - 1) * k,
+        a_eq=_split(_block_diagonal(n - 1, states)),
+        b_eq=np.eye(n)[:n - 1].ravel(),
+        a_ub=_split(a_ub),
         b_ub=np.concatenate([np.zeros((n - 1) * len(verts)), -verts @ space.u]))
     res = lp.solve(prob)
     if res.status != "optimal":
         return None
-    coeffs = res.x.reshape(n - 1, k)
+    coeffs = (res.x[0::2] - res.x[1::2]).reshape(n - 1, k)
     effects = [Effect(c) for c in coeffs] + [Effect(space.u - coeffs.sum(axis=0))]
     return _checked(DistinguishabilityWitness(Measurement(tuple(effects)), states))
 

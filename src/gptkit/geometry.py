@@ -69,7 +69,8 @@ def cone_extreme_rays(a):
                 misses = shared[cand].astype(float) @ loose.T
                 adj = neg[cand][(misses == 0).sum(axis=1) == 2]
                 new += [_normalize(s[p] * rays[j] - s[j] * rays[p]) for j in adj]
-        rays = dedup_rows(new)
+        # each new ray lies inside a different 2-face: no duplicates arise
+        rays = np.array(new)
         processed.append(i)
     return rays
 
@@ -110,8 +111,3 @@ def polytope_vertices(ineqs, u):
             raise ScaleLimit("unbounded polytope: ray with u.r <= 0")
         verts.append(r / h)
     return dedup_rows(verts)
-
-
-def dual_cone_rays(generators):
-    """Extreme rays of {e : e.g >= 0 for every generator g}."""
-    return cone_extreme_rays(np.asarray(generators, dtype=float))

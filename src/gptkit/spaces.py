@@ -207,14 +207,7 @@ def contains_state(space, x):
         verts = space.vertices
         if (verts == x).all(axis=1).any():
             return True
-        k = verts.shape[0]
-        prob = lp.LpProblem(
-            n_vars=k,
-            a_eq=np.vstack([verts.T, np.ones(k)]),
-            b_eq=np.concatenate([x, [1.0]]),
-            bounds=[(0.0, None)] * k,
-        )
-        return lp.solve(prob).status == "optimal"
+        return lp.hull_weights(verts, x) is not None
     if space.kind == "quantum":
         rho = coords_to_mat(x)
         if abs(np.trace(rho).real - 1.0) > FEASTOL:
@@ -254,14 +247,7 @@ def is_pure(space, omega):
         others = np.delete(verts, match[0], axis=0)
         if others.shape[0] == 0:
             return True
-        k = others.shape[0]
-        prob = lp.LpProblem(
-            n_vars=k,
-            a_eq=np.vstack([others.T, np.ones(k)]),
-            b_eq=np.concatenate([omega, [1.0]]),
-            bounds=[(0.0, None)] * k,
-        )
-        return lp.solve(prob).status == "infeasible"
+        return lp.hull_weights(others, omega) is None
     if space.kind == "quantum":
         rho = coords_to_mat(omega)
         return np.linalg.eigvalsh(rho).max() >= 1.0 - FEASTOL

@@ -162,6 +162,19 @@ def test_non_finite_state_exit_code(capsys, tmp_path):
     assert doc["message"] == "state has a non-finite coordinate"
 
 
+def test_no_states_exit_code(capsys, tmp_path):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(spaces.space_to_json(spaces.make_gbit()))
+    code, out, err = run_cli(
+        capsys, ["distinguish", "--space", str(space_file), "--states", "-"],
+        stdin=json.dumps({"states": []}))
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "invalid_input"
+    assert doc["message"] == "need at least one state"
+
+
 def test_scale_limit_exit_code(capsys, tmp_path):
     big = tmp_path / "c11.json"
     big.write_text(spaces.space_to_json(spaces.make_classical(11)))

@@ -6,7 +6,7 @@ import pytest
 from gptkit import distinguish, lp
 from gptkit.distinguish import (_largest_distinguishable, capacity,
                                 perfectly_distinguishable)
-from gptkit.errors import NotAState, NumericalFailure, ScaleLimit
+from gptkit.errors import InvalidArgument, NotAState, NumericalFailure, ScaleLimit
 from gptkit.spaces import (contains_state, make_ball, make_classical, make_gbit,
                            make_quantum, mat_to_coords)
 
@@ -72,6 +72,15 @@ def test_invalid_state_rejected():
     g = make_gbit()
     with pytest.raises(NotAState):
         perfectly_distinguishable(g, np.array([[2.0, 2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("space", [make_gbit(), make_ball(3), make_quantum(2)],
+                         ids=["polytopic", "ball", "quantum"])
+def test_no_states_rejected(space):
+    with pytest.raises(InvalidArgument, match="need at least one state"):
+        perfectly_distinguishable(space, [])
+    # an empty candidate list still has capacity 0
+    assert capacity(space, candidates=[]) == 0
 
 
 def test_witness_is_valid_measurement():

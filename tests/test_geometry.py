@@ -1,7 +1,11 @@
 import numpy as np
 
-from gptkit.geometry import (cone_extreme_rays, dual_cone_rays,
-                             polytope_vertices)
+import pytest
+
+from gptkit.geometry import cone_extreme_rays, polytope_vertices
+from gptkit.lp import DEDUP_TOL
+
+from .conftest import polygon
 
 
 def normalize_rows(rows):
@@ -36,8 +40,23 @@ def test_polytope_vertices_square():
 
 
 def test_dual_of_simplex_cone():
-    rays = dual_cone_rays(np.eye(3))
+    rays = cone_extreme_rays(np.eye(3))
     assert normalize_rows(rays) == normalize_rows(np.eye(3))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_dual_of_polygon_has_one_ray_per_edge(n):
+    # a repeated vertex and an edge midpoint add rows but no rays, and no
+    # double-description step makes the same ray twice
+    verts = polygon(n).vertices
+    rows = np.vstack([verts, verts[:1], (verts[1] + verts[2]) / 2])
+    rays = cone_extreme_rays(rows)
+    assert rays.shape == (n, 3)
+    gaps = np.abs(rays[:, None] - rays[None]).max(axis=2)
+    assert gaps[~np.eye(n, dtype=bool)].min() > DEDUP_TOL
+    # each ray is tight on the two ends of one edge
+    tight = np.abs(rays @ verts.T) <= 1e-9
+    assert (tight.sum(axis=1) == 2).all()
 
 
 def test_redundant_inequalities_ignored():
