@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lp
 from .errors import InvalidSetup, InvalidTable, NotAState, NumericalFailure
-from .lp import FEASTOL, MODEL_TOL
+from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL
 
 OUTCOMES = (-1, +1)
 _AB = np.outer(OUTCOMES, OUTCOMES)  # the product a b, indexed [a', b']
@@ -106,7 +106,7 @@ def lifted_chsh_max(table):
     return float((_LIFTS * _correlators(table)).sum(axis=(1, 2)).max())
 
 
-def classify_ns_vertex(table, tol=1e-8):
+def classify_ns_vertex(table, tol=DEDUP_TOL):
     """'deterministic', 'pr', or 'other' for an NS-polytope vertex table."""
     if (np.abs(_DET - table.p).max(axis=1) <= tol).any():
         return "deterministic"

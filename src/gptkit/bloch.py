@@ -109,7 +109,7 @@ def check_strict_convexity_ball(d, trials=1000, seed=0):
         y = rng.normal(size=d)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        if np.linalg.norm(x - y) < 1e-9:
+        if np.linalg.norm(x - y) < FEASTOL:
             continue
         lam = rng.uniform(0.05, 0.95)
         gap = 1.0 - np.linalg.norm(lam * x + (1 - lam) * y)

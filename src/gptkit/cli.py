@@ -3,8 +3,9 @@
 Subcommands expose the library's demonstrations and decision procedures
 with JSON/CSV/text output and stable exit codes: 0 success, 1 invalid
 input, 2 scale limit, 3 internal numerical failure.  ``-`` means
-stdin/stdout for every FILE argument.  The default seed is taken from the
-GPTKIT_SEED environment variable (falling back to 0).
+stdin/stdout for every FILE argument.  Each subcommand takes only the
+options it reads; the default of --seed (tsirelson, bloch) is taken from
+the GPTKIT_SEED environment variable (falling back to 0).
 """
 
 import argparse
@@ -229,41 +230,42 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="gptkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, formats=("json", "text"), seed=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default="-")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        if seed:
+            p.add_argument("--seed", type=int, default=_default_seed())
         return p
 
-    p = add("chsh", cmd_chsh, help="correlators, CHSH value, membership verdicts")
+    p = add("chsh", cmd_chsh, formats=("json", "csv", "text"),
+            help="correlators, CHSH value, membership verdicts")
     p.add_argument("--table", required=True)
 
-    p = add("prbox", cmd_prbox, help="emit a PR-box table")
+    p = add("prbox", cmd_prbox, formats=(), help="emit a PR-box table")
     p.add_argument("--variant", default="000")
-    p.set_defaults(format="json")
 
-    p = add("tsirelson", cmd_tsirelson, help="see-saw CHSH maximization")
+    p = add("tsirelson", cmd_tsirelson, seed=True,
+            help="see-saw CHSH maximization")
     p.add_argument("--iters", type=int, default=200)
 
     p = add("distinguish", cmd_distinguish, help="perfect distinguishability witness")
     p.add_argument("--space", required=True)
     p.add_argument("--states", required=True)
 
-    p = add("compose", cmd_compose, help="min/max tensor product")
+    p = add("compose", cmd_compose, formats=(), help="min/max tensor product")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--kind", choices=["min", "max"], required=True)
     p.add_argument("--vertices", action="store_true")
-    p.set_defaults(format="json")
 
     p = add("sorkin", cmd_sorkin, help="interference residuals")
     p.add_argument("--exp", required=True)
     p.add_argument("--blockers")
 
-    p = add("bloch", cmd_bloch, help="Bloch-ball checks")
+    p = add("bloch", cmd_bloch, seed=True, help="Bloch-ball checks")
     p.add_argument("--op", choices=["roundtrip", "rotation", "average"],
                    required=True)
     p.add_argument("--samples", type=int, default=100000)

@@ -107,9 +107,9 @@ def _polytopic_witness(space, states, n):
     return _checked(DistinguishabilityWitness(Measurement(tuple(effects)), states))
 
 
-def _support_projector(rho, tol=1e-9):
+def _support_projector(rho):
     ev, vec = np.linalg.eigh(rho)
-    cols = vec[:, ev > tol]
+    cols = vec[:, ev > lp.FEASTOL]
     return cols @ cols.conj().T
 
 
@@ -133,7 +133,8 @@ def _ball_witness(space, states, n):
     if n > 2:
         return None  # ball capacity is 2
     r1, r2 = states[0][1:], states[1][1:]
-    if abs(np.linalg.norm(r1) - 1.0) > 1e-9 or np.linalg.norm(r1 + r2) > 1e-9:
+    if (abs(np.linalg.norm(r1) - 1.0) > lp.FEASTOL
+            or np.linalg.norm(r1 + r2) > lp.FEASTOL):
         return None
     e = Effect(np.concatenate([[0.5], 0.5 * r1]))
     ebar = Effect(space.u - e.coeffs)

@@ -12,6 +12,11 @@ All membership / validity / extremality questions are decided either by
 LP feasibility (polytopic) or analytically via eigenvalues (quantum,
 ball).  The effect set is always the full dual interval [0, u]
 (no-restriction hypothesis).
+
+The three map questions share one inclusion test, _maps_into.  Their
+answers are exact for polytopic spaces and ball -> ball maps without a
+translation; a quantum map, or a translated ball map in is_transformation,
+is tested on seeded sampled pure states ("no" is certain, "yes" sampled).
 """
 
 import json
@@ -24,7 +29,6 @@ import numpy as np
 from . import lp
 from .errors import (DimensionMismatch, InvalidArgument, NotAState,
                      SingularMap, UnsupportedKind)
-from .geometry import dedup_rows
 from .lp import FEASTOL
 
 
@@ -75,12 +79,29 @@ class StateSpace:
     ball_dim: int = None           # ball only
 
     def __post_init__(self):
+        if self.kind not in ("polytopic", "quantum", "ball"):
+            raise InvalidArgument(f"unknown state-space kind {self.kind!r}")
+        if (self.vertices is None) == (self.kind == "polytopic"):
+            raise InvalidArgument("vertices are given for polytopic spaces only")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        if self.u.shape != (self.ambient_dim,):
+            raise DimensionMismatch(f"u has shape {self.u.shape}, "
+                                    f"expected ({self.ambient_dim},)")
         if not np.isfinite(self.u).all():
             raise InvalidArgument("non-finite entry in u")
+        expected = {"polytopic": self.ambient_dim,
+                    "quantum": self.hilbert_dim and self.hilbert_dim ** 2,
+                    "ball": self.ball_dim and self.ball_dim + 1}[self.kind]
+        if expected != self.ambient_dim:
+            raise DimensionMismatch("ambient_dim must be hilbert_dim^2 "
+                                    "(quantum) or ball_dim + 1 (ball)")
         if self.vertices is not None:
             object.__setattr__(self, "vertices",
                                np.asarray(self.vertices, dtype=float))
+            if (self.vertices.ndim != 2
+                    or self.vertices.shape[1] != self.ambient_dim):
+                raise DimensionMismatch("vertices must be rows of length "
+                                        "ambient_dim")
             if not np.isfinite(self.vertices).all():
                 raise InvalidArgument("non-finite vertex coordinate")
             if np.abs(self.vertices @ self.u - 1.0).max() > FEASTOL:
@@ -257,6 +278,9 @@ def is_pure(space, omega):
 
 
 def _sampled_pure_states(space, n_samples, seed):
+    """The vertices of a polytopic space, else n_samples seeded pure states."""
+    if space.kind == "polytopic":
+        return space.vertices
     rng = np.random.default_rng(seed)
     out = []
     if space.kind == "quantum":
@@ -265,109 +289,72 @@ def _sampled_pure_states(space, n_samples, seed):
             psi = rng.normal(size=n) + 1j * rng.normal(size=n)
             psi /= np.linalg.norm(psi)
             out.append(mat_to_coords(np.outer(psi, psi.conj())))
-    elif space.kind == "ball":
+    else:
         d = space.ball_dim
         for _ in range(n_samples):
             r = rng.normal(size=d)
             r /= np.linalg.norm(r)
             out.append(np.concatenate([[1.0], r]))
-    elif space.kind == "polytopic":
-        out = list(space.vertices)
     return np.array(out)
+
+
+def _maps_into(a, b, m, n_samples, seed):
+    """Does the matrix m send every state of a to a state of b?
+
+    Normalization is exact; the rest is vertex images, an operator norm
+    (ball -> ball, no translation) or sampled pure states.
+    """
+    if a.kind != "polytopic" and np.abs(b.u @ m - a.u).max() > FEASTOL:
+        return False
+    if a.kind == b.kind == "ball" and np.linalg.norm(m[1:, 0]) <= FEASTOL:
+        return np.linalg.norm(m[1:, 1:], 2) <= 1.0 + FEASTOL
+    return all(contains_state(b, m @ s)
+               for s in _sampled_pure_states(a, n_samples, seed))
 
 
 def is_transformation(space, t, n_samples=1000, seed=0):
     """Does t map every normalized state to a normalized state?
 
-    Exact for polytopic spaces (vertex images).  For quantum and ball
-    spaces the check combines exact normalization preservation with
-    seeded pure-state sampling (one-sided: can refute, confirms only
-    probabilistically), except that ball maps without a translation part
-    are certified exactly by an operator-norm bound.
+    Exact for polytopic spaces and ball maps without a translation; for
+    quantum maps and translated ball maps a "yes" is sampled.
     """
     m = t.matrix if isinstance(t, LinearMap) else np.asarray(t, dtype=float)
     if m.shape != (space.ambient_dim, space.ambient_dim):
         raise DimensionMismatch("transformation must be square of ambient size")
     if not np.isfinite(m).all():
         raise InvalidArgument("transformation has a non-finite entry")
-    if space.kind == "polytopic":
-        return all(contains_state(space, m @ v) for v in space.vertices)
-    # normalization must be preserved: u o T = u
-    if np.abs(space.u @ m - space.u).max() > FEASTOL:
-        return False
-    if space.kind == "ball":
-        shift = m[1:, 0]
-        block = m[1:, 1:]
-        if np.linalg.norm(shift) <= FEASTOL:
-            return np.linalg.norm(block, 2) <= 1.0 + FEASTOL
-    for s in _sampled_pure_states(space, n_samples, seed):
-        if not contains_state(space, m @ s):
-            return False
-    return True
+    return _maps_into(space, space, m, n_samples, seed)
 
 
 def is_reversible_transformation(space, t, n_samples=1000, seed=0):
-    """Is t an invertible symmetry mapping the state space onto itself?"""
+    """Is t invertible with are_equivalent(space, space, t)?  Exact for
+    polytopic and ball spaces; for quantum spaces a "yes" is sampled."""
     tmap = t if isinstance(t, LinearMap) else LinearMap(t)
     if tmap.matrix.shape != (space.ambient_dim, space.ambient_dim):
         raise DimensionMismatch("transformation must be square of ambient size")
     if not tmap.is_invertible():
         return False
-    if space.kind == "polytopic":
-        img = space.vertices @ tmap.matrix.T
-        return _same_vertex_set(img, space.vertices)
-    if space.kind == "ball":
-        if np.abs(space.u @ tmap.matrix - space.u).max() > FEASTOL:
-            return False
-        shift = tmap.matrix[1:, 0]
-        block = tmap.matrix[1:, 1:]
-        return (np.linalg.norm(shift) <= FEASTOL
-                and np.abs(block.T @ block - np.eye(block.shape[0])).max() <= FEASTOL)
-    inv = tmap.inverse()
-    return (is_transformation(space, tmap, n_samples, seed)
-            and is_transformation(space, inv, n_samples, seed))
-
-
-def _same_vertex_set(a, b, tol=FEASTOL):
-    """Do the rows of a and b match one to one within tol?"""
-    if a.shape != b.shape:
-        return False
-    points = dedup_rows(np.vstack([a, b]), tol)
-
-    def multiplicities(rows):
-        return [(np.abs(rows - p).max(axis=1) <= tol).sum() for p in points]
-
-    return multiplicities(a) == multiplicities(b)
+    return are_equivalent(space, space, tmap, n_samples, seed)
 
 
 def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
-    """Does the invertible map l carry Omega_A exactly onto Omega_B?
+    """Do l and its inverse map Omega_A into Omega_B and back?
 
-    Exact for polytopic pairs; for quantum/ball spaces the inclusion
-    checks use seeded sampled pure states (refutation is sound,
-    confirmation is probabilistic).
+    Exact for polytopic pairs and ball pairs (a map of a ball onto a ball
+    fixes its centre); for other pairs a "yes" is sampled.
     """
     lmap = l if isinstance(l, LinearMap) else LinearMap(l)
-    if lmap.matrix.shape != (space_b.ambient_dim, space_a.ambient_dim):
+    m = lmap.matrix
+    if m.shape != (space_b.ambient_dim, space_a.ambient_dim):
         raise DimensionMismatch("map shape does not match the two spaces")
     if space_a.ambient_dim != space_b.ambient_dim:
         return False
     if not lmap.is_invertible():
         raise SingularMap("equivalence requires an invertible map")
-    linv = lmap.inverse()
-
-    def states_of(space):
-        if space.kind == "polytopic":
-            return space.vertices
-        return _sampled_pure_states(space, n_samples, seed)
-
-    for s in states_of(space_a):
-        if not contains_state(space_b, lmap(s)):
-            return False
-    for s in states_of(space_b):
-        if not contains_state(space_a, linv(s)):
-            return False
-    return True
+    if space_a.kind == space_b.kind == "ball" and np.linalg.norm(m[1:, 0]) > FEASTOL:
+        return False
+    return (_maps_into(space_a, space_b, m, n_samples, seed) and
+            _maps_into(space_b, space_a, np.linalg.inv(m), n_samples, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -223,3 +223,27 @@ def test_entry_point_installed(tmp_path):
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert json.loads(res.stdout)["p"][0] == 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["prbox", "--format", "text"],
+    ["prbox", "--seed", "1"],
+    ["nspolytope", "--format", "csv"],
+    ["chsh", "--table", "{table}", "--seed", "1"],
+    ["compose", "--a", "{space}", "--b", "{space}", "--kind", "min",
+     "--format", "json"],
+    ["distinguish", "--space", "{space}", "--states", "{states}",
+     "--format", "csv"],
+], ids=["prbox-format", "prbox-seed", "nspolytope-csv", "chsh-seed",
+        "compose-format", "distinguish-csv"])
+def test_unread_options_rejected(capsys, tmp_path, argv):
+    files = {"table": bell.table_to_json(bell.pr_box()),
+             "space": spaces.space_to_json(spaces.make_gbit()),
+             "states": json.dumps({"states": [[-1, -1, 1], [1, 1, 1]]})}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files})
+            for a in argv]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""

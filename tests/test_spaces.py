@@ -199,3 +199,91 @@ def test_non_finite_map_rejected(space):
         is_reversible_transformation(space, m)
     with pytest.raises(InvalidArgument, match="map has a non-finite"):
         are_equivalent(space, space, m)
+
+
+@pytest.mark.parametrize("fields, error", [
+    (dict(kind="polytopic", ambient_dim=3, u=[0, 0, 1]), InvalidArgument),
+    (dict(kind="quantum", ambient_dim=4, u=[1, 0, 0, 1], hilbert_dim=2,
+          vertices=[[1, 0, 0, 0]]), InvalidArgument),
+    (dict(kind="simplex", ambient_dim=2, u=[1, 1]), InvalidArgument),
+    (dict(kind="ball", ambient_dim=5, u=[1, 0, 0, 0], ball_dim=3),
+     DimensionMismatch),
+    (dict(kind="ball", ambient_dim=5, u=[1, 0, 0, 0, 0], ball_dim=3),
+     DimensionMismatch),
+    (dict(kind="quantum", ambient_dim=4, u=[1, 0, 0, 1]), DimensionMismatch),
+    (dict(kind="polytopic", ambient_dim=2, u=[1, 1], vertices=[[1, 0, 0]]),
+     DimensionMismatch),
+], ids=["polytopic-no-vertices", "quantum-with-vertices", "unknown-kind",
+        "short-u", "ball-dim", "no-hilbert-dim", "vertex-length"])
+def test_inconsistent_space_rejected(fields, error):
+    with pytest.raises(error):
+        spaces.StateSpace(**fields)
+
+
+ROT90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("extra", [[[-1.0, -1.0, 1.0]], [[0.0, 1.0, 1.0]]],
+                         ids=["repeated-vertex", "edge-midpoint"])
+def test_reversibility_ignores_listed_points(extra):
+    # the listed points still span the square, so its symmetries stay
+    space = make_polytopic(np.vstack([make_gbit().vertices, extra]),
+                           [0.0, 0.0, 1.0])
+    assert is_reversible_transformation(space, ROT90)
+    assert not is_reversible_transformation(space, np.diag([0.5, 0.5, 1.0]))
+
+
+def _ball_map(d, block, shift=0.0):
+    m = np.eye(d + 1)
+    m[1:, 1:] = block
+    m[1:, 0] = shift
+    return m
+
+
+def _unitary_channel(seed):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    basis = hermitian_basis(2)
+    return np.array([[np.trace(a.conj().T @ u @ b @ u.conj().T).real
+                      for b in basis] for a in basis])
+
+
+MAP_CASES = [
+    (make_gbit(), ROT90, True),
+    (make_gbit(), np.diag([1.0, -1.0, 1.0]), True),
+    (make_gbit(), np.diag([0.5, 0.5, 1.0]), False),
+    (make_gbit(), np.diag([0.5, 2.0, 1.0]), False),
+    (make_ball(3), _ball_map(3, ROT90), True),
+    (make_ball(3), _ball_map(3, 0.5 * ROT90), False),
+    (make_ball(3), _ball_map(3, np.diag([1.0, 1.0, 1.0001])), False),
+    (make_ball(3), _ball_map(3, ROT90, [0.3, 0.0, 0.0]), False),
+    (make_ball(3), _ball_map(3, 0.5 * ROT90, [0.3, 0.0, 0.0]), False),
+    (make_ball(3), np.diag([0.5, 1.0, 1.0, 1.0]), False),
+    (make_quantum(2), _unitary_channel(0), True),
+    (make_quantum(2), _unitary_channel(1), True),
+    (make_quantum(2), 0.5 * _unitary_channel(2), False),
+]
+
+
+@pytest.mark.parametrize("space, m, expected", MAP_CASES, ids=[
+    "gbit-rot90", "gbit-flip", "gbit-shrink", "gbit-stretch", "ball-rot",
+    "ball-shrink", "ball-stretch", "ball-rot-shift", "ball-shrink-shift",
+    "ball-unnormalized",
+    "qubit-unitary0", "qubit-unitary1", "qubit-half-unitary"])
+def test_reversible_is_self_equivalence(space, m, expected):
+    assert is_reversible_transformation(space, m, n_samples=50) == expected
+    assert are_equivalent(space, space, m, n_samples=50) == expected
+
+
+def test_translated_ball_not_equivalent():
+    # a map of a ball onto a ball fixes its centre; no sample is needed
+    m = _ball_map(3, ROT90, [0.3, 0.0, 0.0])
+    for seed in range(10):
+        assert not are_equivalent(make_ball(3), make_ball(3), m,
+                                  n_samples=1, seed=seed)
+    assert not is_reversible_transformation(make_ball(3), m, n_samples=1)
+
+
+def test_ball_map_keeps_normalization():
+    # no translation and operator norm 1, but u(T omega) = 1/2
+    assert not is_transformation(make_ball(3), np.diag([0.5, 1.0, 1.0, 1.0]))
