@@ -65,7 +65,8 @@ def group_average_state(samples, omega):
     """Monte-Carlo average of T omega over rotation samples.
 
     Converges to the invariant (maximally mixed) state, i.e. the origin,
-    as the sample count grows.
+    as the sample count grows.  By linearity the samples are averaged
+    first and the mean applied to omega once.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 2:
@@ -73,7 +74,7 @@ def group_average_state(samples, omega):
     if samples.shape[0] < 1:
         raise TooFewSamples("need at least one sample")
     omega = np.asarray(omega, dtype=float)
-    return np.mean(samples @ omega, axis=0)
+    return samples.mean(axis=0) @ omega
 
 
 def invariant_inner_product(samples, seed=0):

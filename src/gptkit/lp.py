@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, InvalidArgument, NumericalFailure
 
 # Single feasibility tolerance for the whole package.
 FEASTOL = 1e-9
@@ -77,6 +77,8 @@ class LpProblem:
                 b = np.atleast_1d(np.asarray(b, dtype=float))
                 if a.shape[1] != n or a.shape[0] != b.shape[0]:
                     raise DimensionMismatch(f"a_{name} shape {a.shape} inconsistent")
+                if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                    raise InvalidArgument(f"a_{name}/b_{name} has a non-finite entry")
                 setattr(self, "a_" + name, a)
                 setattr(self, "b_" + name, b)
 

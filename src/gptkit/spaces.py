@@ -14,9 +14,9 @@ ball).  The effect set is always the full dual interval [0, u]
 (no-restriction hypothesis).
 
 The three map questions share one inclusion test, _maps_into.  Their
-answers are exact for polytopic spaces and ball -> ball maps without a
-translation; a quantum map, or a translated ball map in is_transformation,
-is tested on seeded sampled pure states ("no" is certain, "yes" sampled).
+answers are exact for polytopic spaces and ball -> ball maps, with or
+without a translation; a quantum map is tested on seeded sampled pure
+states ("no" is certain, "yes" sampled).
 """
 
 import json
@@ -114,6 +114,8 @@ class Effect:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        if not np.isfinite(self.coeffs).all():
+            raise InvalidArgument("effect has a non-finite coefficient")
 
     def __call__(self, omega):
         return float(self.coeffs @ np.asarray(omega, dtype=float))
@@ -298,16 +300,44 @@ def _sampled_pure_states(space, n_samples, seed):
     return np.array(out)
 
 
+def _ball_image_fits(t, mm):
+    """Is |t + M r| <= 1 for every |r| <= 1?
+
+    Without a translation this is the operator norm of M.  Otherwise, by
+    the S-lemma, it holds exactly when some lam in [0, 1 - |t|^2] makes
+    P(lam) = [[lam I - M^T M, -M^T t], [-t^T M, 1 - lam - |t|^2]] PSD.  The
+    least eigenvalue of P is concave and 1-Lipschitz in lam, with slope
+    v^T dP/dlam v at its eigenvector v, so bisection on that slope finds
+    its maximum and decides the question at FEASTOL.
+    """
+    if np.linalg.norm(t) <= FEASTOL:
+        return np.linalg.norm(mm, 2) <= 1.0 + FEASTOL
+    mt = np.column_stack([mm, t])
+    p = -mt.T @ mt  # P(0)
+    p[-1, -1] += 1.0
+    step = np.append(np.ones(len(t)), -1.0)  # dP/dlam, a diagonal
+    lo, hi = 0.0, max(1.0 - t @ t, 0.0)
+    while True:
+        lam = (lo + hi) / 2
+        ev, vec = np.linalg.eigh(p + lam * np.diag(step))
+        if ev[0] >= -FEASTOL or hi - lo <= 1e-12:
+            return ev[0] >= -FEASTOL
+        if step @ vec[:, 0] ** 2 > 0:
+            lo = lam
+        else:
+            hi = lam
+
+
 def _maps_into(a, b, m, n_samples, seed):
     """Does the matrix m send every state of a to a state of b?
 
-    Normalization is exact; the rest is vertex images, an operator norm
-    (ball -> ball, no translation) or sampled pure states.
+    Normalization is exact; the rest is vertex images, an exact ball
+    image test (ball -> ball) or sampled pure states.
     """
     if a.kind != "polytopic" and np.abs(b.u @ m - a.u).max() > FEASTOL:
         return False
-    if a.kind == b.kind == "ball" and np.linalg.norm(m[1:, 0]) <= FEASTOL:
-        return np.linalg.norm(m[1:, 1:], 2) <= 1.0 + FEASTOL
+    if a.kind == b.kind == "ball":
+        return _ball_image_fits(m[1:, 0], m[1:, 1:])
     return all(contains_state(b, m @ s)
                for s in _sampled_pure_states(a, n_samples, seed))
 
@@ -315,8 +345,8 @@ def _maps_into(a, b, m, n_samples, seed):
 def is_transformation(space, t, n_samples=1000, seed=0):
     """Does t map every normalized state to a normalized state?
 
-    Exact for polytopic spaces and ball maps without a translation; for
-    quantum maps and translated ball maps a "yes" is sampled.
+    Exact for polytopic and ball spaces; for quantum maps a "yes" is
+    sampled.
     """
     m = t.matrix if isinstance(t, LinearMap) else np.asarray(t, dtype=float)
     if m.shape != (space.ambient_dim, space.ambient_dim):
@@ -340,8 +370,8 @@ def is_reversible_transformation(space, t, n_samples=1000, seed=0):
 def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
     """Do l and its inverse map Omega_A into Omega_B and back?
 
-    Exact for polytopic pairs and ball pairs (a map of a ball onto a ball
-    fixes its centre); for other pairs a "yes" is sampled.
+    Exact for polytopic pairs and ball pairs; for other pairs a "yes" is
+    sampled.
     """
     lmap = l if isinstance(l, LinearMap) else LinearMap(l)
     m = lmap.matrix
@@ -351,8 +381,6 @@ def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
         return False
     if not lmap.is_invertible():
         raise SingularMap("equivalence requires an invertible map")
-    if space_a.kind == space_b.kind == "ball" and np.linalg.norm(m[1:, 0]) > FEASTOL:
-        return False
     return (_maps_into(space_a, space_b, m, n_samples, seed) and
             _maps_into(space_b, space_a, np.linalg.inv(m), n_samples, seed))
 

@@ -162,6 +162,85 @@ def test_seesaw_converges():
         bell.maximize_chsh_quantum(iterations=0)
 
 
+def _seesaw_by_partial_traces(seed, iterations):
+    """The see-saw with 4 x 4 Kronecker products and explicit partial
+    traces of rho = |Phi+><Phi+|, as a reference for the closed form."""
+    rng = np.random.default_rng(seed)
+    ket = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    rho = np.outer(ket, ket.conj())
+
+    def rand_obs():
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = h + h.conj().T
+        return bell._sign_observable(h - np.trace(h).real / 2 * np.eye(2))
+
+    def herm(m):
+        return (m + m.conj().T) / 2
+
+    def partial_a(bop):  # Tr_B[rho (1 (x) bop)]
+        m = (rho @ np.kron(np.eye(2), bop)).reshape(2, 2, 2, 2)
+        return herm(np.trace(m, axis1=1, axis2=3))
+
+    def partial_b(aop):  # Tr_A[rho (aop (x) 1)]
+        m = (rho @ np.kron(aop, np.eye(2))).reshape(2, 2, 2, 2)
+        return herm(np.trace(m, axis1=0, axis2=2))
+
+    def value():
+        op = (np.kron(alice[0], bob[0]) + np.kron(alice[0], bob[1])
+              + np.kron(alice[1], bob[0]) - np.kron(alice[1], bob[1]))
+        return np.trace(rho @ op).real
+
+    alice = [rand_obs(), rand_obs()]
+    bob = [rand_obs(), rand_obs()]
+    trace = [value()]
+    for _ in range(iterations):
+        alice = [bell._sign_observable(partial_a(bob[0] + bob[1])),
+                 bell._sign_observable(partial_a(bob[0] - bob[1]))]
+        bob = [bell._sign_observable(partial_b(alice[0] + alice[1])),
+               bell._sign_observable(partial_b(alice[0] - alice[1]))]
+        trace.append(value())
+    return alice, bob, trace
+
+
+@pytest.mark.parametrize("seeds, iterations", [(range(21), 50),
+                                                (range(5), 1), (range(5), 51)])
+def test_seesaw_matches_partial_traces(seeds, iterations):
+    # odd counts too: a sweep that skips the transpose on one side gives
+    # the same values but transposed observables after an odd count
+    ket = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    for seed in seeds:
+        alice, bob, want = _seesaw_by_partial_traces(seed, iterations)
+        val, setup, trace = bell.maximize_chsh_quantum(
+            seed=seed, iterations=iterations, return_trace=True)
+        assert np.abs(np.array(trace) - want).max() <= 1e-12
+        assert abs(val - max(want)) <= 1e-12
+        for pairs, obs in ((setup.alice_effects, alice),
+                           (setup.bob_effects, bob)):
+            for (em, ep), o in zip(pairs, obs):
+                assert np.abs(ep - em - o).max() <= 1e-12
+        assert np.array_equal(setup.state, np.outer(ket, ket))
+
+
+def test_seesaw_trace_length():
+    for iterations in (1, 2, 17):
+        _, _, trace = bell.maximize_chsh_quantum(
+            seed=3, iterations=iterations, return_trace=True)
+        assert len(trace) == iterations + 1
+
+
+def test_sign_observable_on_stacks(rng):
+    h = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+    h = h + h.conj().swapaxes(-1, -2)
+    h[3] = 0.0
+    stacked = bell._sign_observable(h)
+    assert stacked.shape == h.shape
+    assert np.array_equal(stacked,
+                          np.array([bell._sign_observable(m) for m in h]))
+    # eigenvalue 0 counts as +1, so the zero matrix maps to +I
+    assert np.array_equal(stacked[3], np.eye(2))
+    assert np.array_equal(bell._sign_observable(np.zeros((2, 2))), np.eye(2))
+
+
 def test_chsh_operator_norm_bound(rng):
     # the operator norm never exceeds 2 sqrt 2 for any observables
     for _ in range(20):

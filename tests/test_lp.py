@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gptkit import lp
-from gptkit.errors import DimensionMismatch, NumericalFailure
+from gptkit.errors import DimensionMismatch, InvalidArgument, NumericalFailure
 
 
 def test_equality_and_inequality():
@@ -118,3 +118,14 @@ def test_bound_check():
         lp._check_feasible(prob, np.array([-1e-6, 0.0, 0.0]))
     with pytest.raises(NumericalFailure, match="x >= 0 violated"):
         lp._check_feasible(prob, np.array([0.0, -2e-9, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["a_eq", "b_eq", "a_ub", "b_ub"])
+def test_non_finite_problem_rejected(where, bad):
+    fields = dict(a_eq=np.ones((1, 2)), b_eq=np.ones(1),
+                  a_ub=np.eye(2), b_ub=np.zeros(2))
+    fields[where] = fields[where].copy()
+    fields[where].flat[0] = bad
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        lp.LpProblem(n_vars=2, **fields)

@@ -287,3 +287,40 @@ def test_translated_ball_not_equivalent():
 def test_ball_map_keeps_normalization():
     # no translation and operator norm 1, but u(T omega) = 1/2
     assert not is_transformation(make_ball(3), np.diag([0.5, 1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_effect_rejected(bad):
+    with pytest.raises(InvalidArgument, match="non-finite coefficient"):
+        Effect([0.5, bad, 0.5])
+    # a bare coefficient array is still checked by is_effect itself
+    with pytest.raises(InvalidArgument, match="effect has a non-finite"):
+        is_effect(make_gbit(), np.array([0.5, bad, 0.5]))
+
+
+def test_translated_ball_map_exact():
+    # (1, 0, 0, 1) goes to Bloch length 0.5 + 0.5001: a small cap leaves
+    # the ball, which sampled pure states used to miss
+    b3 = make_ball(3)
+    shift = [0.0, 0.0, 0.5]
+    assert not is_transformation(
+        b3, _ball_map(3, np.diag([0.5, 0.5, 0.5001]), shift))
+    assert is_transformation(b3, _ball_map(3, 0.5 * np.eye(3), shift))
+    assert is_transformation(b3, _ball_map(3, 0.5 * ROT90, [0.3, 0.0, 0.0]))
+    assert not is_transformation(b3, _ball_map(3, ROT90, [0.3, 0.0, 0.0]))
+
+
+def test_translated_ball_map_closed_form(rng):
+    # max over |r| <= 1 of |t + s r| is |t| + |s|; margins reach down to 1e-6
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        s = rng.uniform(-0.99, 0.99)
+        margin = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, -1)
+        t = rng.normal(size=d)
+        t *= (1.0 - abs(s) + margin) / np.linalg.norm(t)
+        if np.linalg.norm(t) < 1e-3:
+            continue
+        m = np.eye(d + 1)
+        m[1:, 1:] *= s
+        m[1:, 0] = t
+        assert is_transformation(make_ball(d), m) == (margin < 0)
