@@ -303,15 +303,12 @@ def _sampled_pure_states(space, n_samples, seed):
 def _ball_image_fits(t, mm):
     """Is |t + M r| <= 1 for every |r| <= 1?
 
-    Without a translation this is the operator norm of M.  Otherwise, by
-    the S-lemma, it holds exactly when some lam in [0, 1 - |t|^2] makes
+    By the S-lemma it holds exactly when some lam in [0, 1 - |t|^2] makes
     P(lam) = [[lam I - M^T M, -M^T t], [-t^T M, 1 - lam - |t|^2]] PSD.  The
     least eigenvalue of P is concave and 1-Lipschitz in lam, with slope
     v^T dP/dlam v at its eigenvector v, so bisection on that slope finds
     its maximum and decides the question at FEASTOL.
     """
-    if np.linalg.norm(t) <= FEASTOL:
-        return np.linalg.norm(mm, 2) <= 1.0 + FEASTOL
     mt = np.column_stack([mm, t])
     p = -mt.T @ mt  # P(0)
     p[-1, -1] += 1.0

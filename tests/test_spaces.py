@@ -316,10 +316,11 @@ def test_translated_ball_map_closed_form(rng):
         d = int(rng.integers(1, 6))
         s = rng.uniform(-0.99, 0.99)
         margin = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, -1)
-        t = rng.normal(size=d)
-        t *= (1.0 - abs(s) + margin) / np.linalg.norm(t)
-        if np.linalg.norm(t) < 1e-3:
+        f = 1.0 - abs(s) + margin  # |t|; a negative f would flip t
+        if f < 1e-3:
             continue
+        t = rng.normal(size=d)
+        t *= f / np.linalg.norm(t)
         m = np.eye(d + 1)
         m[1:, 1:] *= s
         m[1:, 0] = t
