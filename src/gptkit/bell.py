@@ -5,7 +5,9 @@ of the quantum CHSH value.
 Outcomes are labelled -1/+1; tables are flattened lexicographically in
 (x, y, a, b) with -1 before +1, i.e. index = 8x + 4y + 2a' + b' with
 v' = (v+1)/2, so ``p.reshape(2, 2, 2, 2)`` is the table indexed
-[x, y, a', b'].
+[x, y, a', b'].  Each table functional (row sums, correlators, CHSH and
+its 8 symmetries, no-signalling marginal differences) is a fixed 16 x k
+matrix M built at import, evaluated as one product ``p @ M``.
 """
 
 from dataclasses import dataclass
@@ -18,22 +20,35 @@ from .errors import InvalidSetup, InvalidTable, NotAState, NumericalFailure
 from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL
 
 OUTCOMES = (-1, +1)
-_AB = np.outer(OUTCOMES, OUTCOMES)  # the product a b, indexed [a', b']
-# the 8 CHSH symmetries: sign patterns [k, x, y] with an odd number of -1
-_LIFTS = 1 - 2 * np.array([s for s in np.ndindex(2, 2, 2, 2)
-                           if sum(s) % 2]).reshape(8, 2, 2)
 
 
 def _strategy_tables():
     """Row 8 f(0)' + 4 f(1)' + 2 g(0)' + g(1)': p(a,b|x,y) = [a = f(x)] [b = g(y)]."""
     f0, f1, g0, g1, x, y, a, b = np.indices((2,) * 8)
     hit = (a == np.where(x, f1, f0)) & (b == np.where(y, g1, g0))
-    det = hit.reshape(16, 16).astype(float)
-    det.flags.writeable = False
-    return det
+    return hit.reshape(16, 16).astype(float)
+
+
+def _functionals():
+    """Columns over table entries: _ROWSUM[:, 2x + y] sums inputs (x, y),
+    _CORR[:, 2x + y] weighs them by a b, _LIFT signs _CORR's columns by the
+    8 patterns with an odd number of -1, and _NS[:, 2x + a'], _NS[:, 4 + 2y
+    + b'] are Alice's and Bob's marginals at remote input 0 minus 1."""
+    x, y, a, b = (v.ravel() for v in np.indices((2, 2, 2, 2)))
+    eye = np.eye(4)
+    rowsum = eye[2 * x + y]
+    corr = rowsum * (1 - 2 * (a ^ b))[:, None]  # a b = +1 iff a' = b'
+    odd = np.array([s for s in np.ndindex(2, 2, 2, 2) if sum(s) % 2])
+    ns = np.hstack([eye[2 * x + a] * (1 - 2 * y)[:, None],
+                    eye[2 * y + b] * (1 - 2 * x)[:, None]])
+    return (rowsum, corr, corr @ np.array([1.0, 1.0, 1.0, -1.0]),
+            corr @ (1 - 2 * odd.T), ns)
 
 
 _DET = _strategy_tables()
+_ROWSUM, _CORR, _CHSH, _LIFT, _NS = _functionals()
+for _m in (_DET, _ROWSUM, _CORR, _CHSH, _LIFT, _NS):
+    _m.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -48,11 +63,12 @@ class ProbTable222:
             raise InvalidTable("table has a non-finite entry")
         if p.min() < -1e-12:
             raise InvalidTable("negative probability")
-        sums = p.reshape(2, 2, 4).sum(axis=2)
+        sums = p @ _ROWSUM
         off = np.abs(sums - 1.0) > FEASTOL
         if off.any():
-            x, y = np.argwhere(off)[0]
-            raise InvalidTable(f"probabilities for inputs ({x},{y}) sum to {sums[x, y]}")
+            k = off.argmax()
+            raise InvalidTable(
+                f"probabilities for inputs ({k // 2},{k % 2}) sum to {sums[k]}")
         object.__setattr__(self, "p", p)
 
     def prob(self, a, b, x, y):
@@ -78,32 +94,22 @@ def deterministic_tables():
 
 def is_nonsignalling(table):
     """Marginals independent of the remote input, within tolerance."""
-    v = table.p.reshape(2, 2, 2, 2)
-    alice = v.sum(axis=3)  # [x, y, a']
-    bob = v.sum(axis=2)    # [x, y, b']
-    return not ((np.abs(alice[:, 0] - alice[:, 1]) > FEASTOL).any()
-                or (np.abs(bob[0] - bob[1]) > FEASTOL).any())
-
-
-def _correlators(table):
-    """E[x, y] = <a b> for all four input pairs."""
-    return np.einsum("xyab,ab->xy", table.p.reshape(2, 2, 2, 2), _AB)
+    return not (np.abs(table.p @ _NS) > FEASTOL).any()
 
 
 def expectation(table, x, y):
     """Correlator E_{x,y} = <a b> for the given input pair."""
-    return float(_correlators(table)[x, y])
+    return float((table.p @ _CORR).reshape(2, 2)[x, y])
 
 
 def chsh(table):
     """E_00 + E_01 + E_10 - E_11."""
-    e = _correlators(table)
-    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+    return float(table.p @ _CHSH)
 
 
 def lifted_chsh_max(table):
     """Max over the 8 CHSH symmetries (sign patterns with odd parity)."""
-    return float((_LIFTS * _correlators(table)).sum(axis=(1, 2)).max())
+    return float((table.p @ _LIFT).max())
 
 
 def classify_ns_vertex(table, tol=DEDUP_TOL):

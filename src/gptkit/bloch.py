@@ -10,9 +10,9 @@ from .errors import InvalidArgument, NotAState, TooFewSamples
 from .lp import FEASTOL
 from .spaces import make_classical, make_quantum
 
-PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
-         np.array([[0, -1j], [1j, 0]], dtype=complex),
-         np.array([[1, 0], [0, -1]], dtype=complex))
+PAULI = np.array([[[0, 1], [1, 0]],
+                  [[0, -1j], [1j, 0]],
+                  [[1, 0], [0, -1]]], dtype=complex)
 
 
 def bloch_to_density(r):
@@ -42,11 +42,8 @@ def unitary_to_rotation(u):
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > FEASTOL:
         raise InvalidArgument("input is not unitary")
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = 0.5 * np.trace(PAULI[i] @ u @ PAULI[j] @ u.conj().T).real
-    return r
+    m = PAULI[:, None] @ u @ PAULI @ u.conj().T  # [i, j] = sigma_i U sigma_j U^dag
+    return 0.5 * np.trace(m, axis1=2, axis2=3).real
 
 
 def haar_so3(rng, n):
@@ -54,11 +51,17 @@ def haar_so3(rng, n):
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     w, x, y, z = q.T
-    return np.stack([
-        np.stack([1 - 2 * (y ** 2 + z ** 2), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
-        np.stack([2 * (x * y + w * z), 1 - 2 * (x ** 2 + z ** 2), 2 * (y * z - w * x)], axis=-1),
-        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x ** 2 + y ** 2)], axis=-1),
-    ], axis=1)
+    r = np.empty((n, 3, 3))
+    r[:, 0, 0] = 1 - 2 * (y ** 2 + z ** 2)
+    r[:, 0, 1] = 2 * (x * y - w * z)
+    r[:, 0, 2] = 2 * (x * z + w * y)
+    r[:, 1, 0] = 2 * (x * y + w * z)
+    r[:, 1, 1] = 1 - 2 * (x ** 2 + z ** 2)
+    r[:, 1, 2] = 2 * (y * z - w * x)
+    r[:, 2, 0] = 2 * (x * z - w * y)
+    r[:, 2, 1] = 2 * (y * z + w * x)
+    r[:, 2, 2] = 1 - 2 * (x ** 2 + y ** 2)
+    return r
 
 
 def group_average_state(samples, omega):

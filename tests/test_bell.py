@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,91 @@ def test_tables_match_entrywise_definitions(rng):
         setup.alice_effects[x][(a + 1) // 2],
         setup.bob_effects[y][(b + 1) // 2])).real)
     assert np.abs(bell.quantum_table(setup).p - np.clip(want, 0.0, None)).max() <= 1e-12
+
+
+def _reference_functionals(p):
+    """(E[x][y], CHSH, lifted CHSH max, largest marginal difference) of a
+    flat table, summed entry by entry from the definitions."""
+    def entry(a, b, x, y):
+        return p[8 * x + 4 * y + (a + 1) + (b + 1) // 2]
+
+    e = [[sum(a * b * entry(a, b, x, y) for a in (-1, 1) for b in (-1, 1))
+          for y in (0, 1)] for x in (0, 1)]
+    patterns = [s for s in itertools.product((-1, 1), repeat=4)
+                if s.count(-1) % 2]
+    lifted = max(s[0] * e[0][0] + s[1] * e[0][1] + s[2] * e[1][0] + s[3] * e[1][1]
+                 for s in patterns)
+    alice = [abs(sum(entry(a, b, x, 0) for b in (-1, 1))
+                 - sum(entry(a, b, x, 1) for b in (-1, 1)))
+             for x in (0, 1) for a in (-1, 1)]
+    bob = [abs(sum(entry(a, b, 0, y) for a in (-1, 1))
+               - sum(entry(a, b, 1, y) for a in (-1, 1)))
+           for y in (0, 1) for b in (-1, 1)]
+    return e, e[0][0] + e[0][1] + e[1][0] - e[1][1], lifted, max(alice + bob)
+
+
+def _evaluated(t):
+    e = [[bell.expectation(t, x, y) for y in (0, 1)] for x in (0, 1)]
+    return e, bell.chsh(t), bell.lifted_chsh_max(t)
+
+
+def test_functionals_match_reference(rng):
+    tables = []
+    for _ in range(600):
+        tables.append(bell.mix_deterministic(rng.dirichlet(np.ones(16))))
+        # one distribution per input pair: signalling in general
+        tables.append(bell.ProbTable222(np.concatenate(
+            [rng.dirichlet(np.ones(4)) for _ in range(4)])))
+    # no-signalling tables pushed off by a marginal shift just above or
+    # below the tolerance: on Alice's side (flip a') or on Bob's (flip b')
+    for shift in (0.5 * lp.FEASTOL, 2 * lp.FEASTOL):
+        for k, flip in itertools.product(range(16), (2, 1)):
+            p = bell.mix_deterministic(rng.dirichlet(np.ones(16))).p.copy()
+            lo, hi = sorted((k, k ^ flip))
+            move = min(shift, p[lo])
+            p[lo] -= move
+            p[hi] += move
+            tables.append(bell.ProbTable222(p))
+    verdicts = set()
+    for t in tables:
+        e, value, lifted, ns_error = _reference_functionals(t.p)
+        got_e, got_value, got_lifted = _evaluated(t)
+        assert np.abs(np.array(got_e) - e).max() <= 1e-14
+        assert abs(got_value - value) <= 1e-14
+        assert abs(got_lifted - lifted) <= 1e-14
+        assert bell.is_nonsignalling(t) == (ns_error <= lp.FEASTOL)
+        verdicts.add(bell.is_nonsignalling(t))
+    assert verdicts == {True, False}
+
+
+def test_functionals_exact_on_vertices():
+    vertices = list(bell.deterministic_tables())
+    vertices += [bell.pr_box(*v) for v in np.ndindex(2, 2, 2)]
+    for t in vertices:
+        e, value, lifted, ns_error = _reference_functionals(t.p)
+        assert _evaluated(t) == (e, value, lifted)
+        assert ns_error == 0.0 and bell.is_nonsignalling(t)
+    assert {bell.chsh(t) for t in vertices[16:]} == {4.0, -4.0, 0.0}
+    assert {bell.lifted_chsh_max(t) for t in vertices} == {2.0, 4.0}
+
+
+def test_table_rejection_messages():
+    with pytest.raises(InvalidTable, match="need 16 entries"):
+        bell.ProbTable222(np.full(15, 0.25))
+    p = np.full(16, 0.25)
+    p[3] = np.nan
+    with pytest.raises(InvalidTable, match="table has a non-finite entry"):
+        bell.ProbTable222(p)
+    p = np.full(16, 0.25)
+    p[[6, 7]] = (-0.25, 0.75)
+    with pytest.raises(InvalidTable, match="negative probability"):
+        bell.ProbTable222(p)
+    for x, y in np.ndindex(2, 2):
+        p = np.full(16, 0.25)
+        p[8 * x + 4 * y + 1] += 0.5
+        with pytest.raises(InvalidTable,
+                           match=rf"inputs \({x},{y}\) sum to 1\.5$"):
+            bell.ProbTable222(p)
 
 
 def test_signalling_table_detected():

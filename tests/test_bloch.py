@@ -47,6 +47,14 @@ def test_rotation_is_so3(rng):
         assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
 
+def test_rotation_matches_trace_loop(rng):
+    for _ in range(50):
+        u = random_unitary(rng)
+        want = np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
+                          for sj in bloch.PAULI] for si in bloch.PAULI])
+        assert np.abs(bloch.unitary_to_rotation(u) - want).max() <= 1e-15
+
+
 def test_rz_quarter_turn():
     u = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
     r = bloch.unitary_to_rotation(u)
@@ -75,9 +83,24 @@ def test_intertwining(rng):
 def test_haar_so3(rng):
     samples = bloch.haar_so3(rng, 200)
     assert samples.shape == (200, 3, 3)
-    for s in samples[:20]:
-        assert np.abs(s.T @ s - np.eye(3)).max() < 1e-12
-        assert abs(np.linalg.det(s) - 1.0) < 1e-12
+    eye = np.abs(np.swapaxes(samples, 1, 2) @ samples - np.eye(3)).max()
+    assert eye < 1e-12
+    assert np.abs(np.linalg.det(samples) - 1.0).max() < 1e-12
+
+
+def test_haar_so3_is_quaternion_formula():
+    # the rotation of the unit quaternion (w, x, y, z) from the same draws,
+    # one sample at a time
+    samples = bloch.haar_so3(np.random.default_rng(5), 500)
+    q = np.random.default_rng(5).normal(size=(500, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    for r, (w, x, y, z) in zip(samples, q):
+        want = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+        assert np.array_equal(r, want)
+    assert bloch.haar_so3(np.random.default_rng(5), 0).shape == (0, 3, 3)
 
 
 def test_group_average_converges():
