@@ -10,6 +10,7 @@ its 8 symmetries, no-signalling marginal differences) is a fixed 16 x k
 matrix M built at import, evaluated as one product ``p @ M``.
 """
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import lp
 from .errors import InvalidSetup, InvalidTable, NotAState, NumericalFailure
 from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL
+from .spaces import contains_state
 
 OUTCOMES = (-1, +1)
 
@@ -309,20 +311,16 @@ def table_from_composite_state(omega, composite=None):
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (9,):
         raise NotAState("expected a gbit(x)gbit vector of length 9")
-    if composite is not None:
-        from .composites import contains_composite_state
-        if not contains_composite_state(composite, omega):
-            raise NotAState("not a state of the composite")
+    if composite is not None and not contains_state(composite, omega):
+        raise NotAState("not a state of the composite")
     p = np.einsum("xam,ybn,mn->xyab", _GBIT_EFFECTS, _GBIT_EFFECTS,
                   omega.reshape(3, 3))
     return ProbTable222(np.clip(p.ravel(), 0.0, None))
 
 
 def table_to_json(table):
-    import json
     return json.dumps({"p": table.p.tolist()})
 
 
 def table_from_json(text):
-    import json
     return ProbTable222(np.asarray(json.loads(text)["p"], dtype=float))

@@ -137,26 +137,18 @@ def check_dimension_law(n_max=5):
     ok = all(report["classical"][n] == n for n in report["classical"]) and \
         all(report["quantum"][n] == n * n for n in report["quantum"])
 
-    for (ma, mb) in [(2, 2), (2, 3), (3, 2)]:
-        ca, cb = make_classical(ma), make_classical(mb)
-        comp = min_tensor(ca, cb)
-        sup = check_supermultiplicativity(ca, cb, comp)
+    for kind, ma, mb in [("classical", 2, 2), ("classical", 2, 3),
+                         ("classical", 3, 2), ("quantum", 2, 2),
+                         ("quantum", 2, 3)]:
+        make = make_classical if kind == "classical" else make_quantum
+        sa, sb = make(ma), make(mb)
+        # the classical composite is built; the quantum one is K = (N_A N_B)^2
+        comp = min_tensor(sa, sb) if kind == "classical" else None
+        k_ab = (ma * mb) ** 2 if comp is None else comp.ambient_dim
+        sup = check_supermultiplicativity(sa, sb, comp)
         entry = {
-            "factors": ("classical", ma, mb),
-            "k_law": comp.ambient_dim == ca.ambient_dim * cb.ambient_dim,
-            "capacity_bound": sup["lower_bound"],
-            "capacity_verified": sup["verified"],
-        }
-        ok = ok and entry["k_law"] and sup["verified"] and sup["lower_bound"] == ma * mb
-        report["composites"].append(entry)
-
-    for (ma, mb) in [(2, 2), (2, 3)]:
-        qa, qb = make_quantum(ma), make_quantum(mb)
-        k_ab = (ma * mb) ** 2
-        sup = check_supermultiplicativity(qa, qb)
-        entry = {
-            "factors": ("quantum", ma, mb),
-            "k_law": k_ab == qa.ambient_dim * qb.ambient_dim,
+            "factors": (kind, ma, mb),
+            "k_law": k_ab == sa.ambient_dim * sb.ambient_dim,
             "capacity_bound": sup["lower_bound"],
             "capacity_verified": sup["verified"],
         }

@@ -52,10 +52,6 @@ def _complex_grid(doc):
     return np.array([[complex(re, im) for re, im in row] for row in doc])
 
 
-def _grid_json(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

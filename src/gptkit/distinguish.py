@@ -17,7 +17,7 @@ from . import lp
 from .errors import (InvalidArgument, NotAState, NumericalFailure, ScaleLimit,
                      UnsupportedKind)
 from .spaces import (Effect, Measurement, coords_to_mat, contains_state,
-                     mat_to_coords)
+                     enumerate_vertices, mat_to_coords)
 
 MAX_SUBSETS = 10 ** 6
 
@@ -91,7 +91,7 @@ def _polytopic_witness(space, states, n):
     # e_n(omega_j) = delta_nj then follows from u(omega_j) = 1.  The
     # coefficients are free, and the LP's variables are >= 0, so each is
     # posed as c+ - c- in two adjacent columns.
-    k, verts = space.ambient_dim, space.vertices
+    k, verts = space.ambient_dim, enumerate_vertices(space)
     a_ub = np.vstack([_block_diagonal(n - 1, verts), np.tile(-verts, n - 1)])
     prob = lp.LpProblem(
         n_vars=2 * (n - 1) * k,
@@ -162,7 +162,7 @@ def capacity(space, candidates=None, n_max=8):
     if candidates is None:
         if space.kind != "polytopic":
             raise InvalidArgument("candidate states required for this kind")
-        candidates = space.vertices
+        candidates = enumerate_vertices(space)
     wit = _largest_distinguishable(space, candidates, n_max)
     return 0 if wit is None else len(wit.states)
 

@@ -2,16 +2,20 @@
 
 Three kinds of state space are supported:
 
-* polytopic -- an explicit list of extreme points (vertices) in R^K,
+* polytopic -- a polytope in R^K given by its vertices, by rows r with
+  r.x >= 0 (``ineqs``), or both; ``enumerate_vertices`` fills in the
+  vertices on first use,
 * quantum   -- density matrices of size N, coordinatized in a fixed
   orthonormal Hermitian basis so states are plain real vectors of
   length N^2,
 * ball      -- vectors (1, r) with |r| <= 1 (the Bloch-ball form).
 
-All membership / validity / extremality questions are decided either by
-LP feasibility (polytopic) or analytically via eigenvalues (quantum,
-ball).  The effect set is always the full dual interval [0, u]
-(no-restriction hypothesis).
+A tensor product (``composites``) is a polytopic space with its two
+factor spaces in ``factors``, and composites nest.  On an ``ineqs`` space
+membership and purity are one product and one rank, with no LP and no
+enumeration; other polytopic questions are LP feasibility, and quantum
+and ball ones are analytic (eigenvalues).  The effect set is always the
+full dual interval [0, u] (no-restriction hypothesis).
 
 The three map questions share one inclusion test, _maps_into.  Their
 answers are exact for polytopic spaces and ball -> ball maps, with or
@@ -26,9 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-from . import lp
+from . import geometry, lp
 from .errors import (DimensionMismatch, InvalidArgument, NotAState,
-                     SingularMap, UnsupportedKind)
+                     NumericalFailure, SingularMap, UnsupportedKind)
 from .lp import FEASTOL
 
 
@@ -74,15 +78,19 @@ class StateSpace:
     kind: str                      # "polytopic" | "quantum" | "ball"
     ambient_dim: int
     u: np.ndarray                  # normalization functional, dual coords
-    vertices: np.ndarray = None    # polytopic only
+    vertices: np.ndarray = None    # polytopic: vertices, ineqs or both
     hilbert_dim: int = None        # quantum only
     ball_dim: int = None           # ball only
+    ineqs: np.ndarray = None       # polytopic: rows r with r.x >= 0
+    factors: tuple = None          # tensor products: the two factors
 
     def __post_init__(self):
         if self.kind not in ("polytopic", "quantum", "ball"):
             raise InvalidArgument(f"unknown state-space kind {self.kind!r}")
-        if (self.vertices is None) == (self.kind == "polytopic"):
-            raise InvalidArgument("vertices are given for polytopic spaces only")
+        if ((self.vertices is None and self.ineqs is None)
+                == (self.kind == "polytopic")):
+            raise InvalidArgument("vertices or ineqs are given for polytopic "
+                                  "spaces only")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.shape != (self.ambient_dim,):
             raise DimensionMismatch(f"u has shape {self.u.shape}, "
@@ -95,17 +103,24 @@ class StateSpace:
         if expected != self.ambient_dim:
             raise DimensionMismatch("ambient_dim must be hilbert_dim^2 "
                                     "(quantum) or ball_dim + 1 (ball)")
-        if self.vertices is not None:
-            object.__setattr__(self, "vertices",
-                               np.asarray(self.vertices, dtype=float))
-            if (self.vertices.ndim != 2
-                    or self.vertices.shape[1] != self.ambient_dim):
-                raise DimensionMismatch("vertices must be rows of length "
+        for name, noun in (("vertices", "vertex"), ("ineqs", "inequality")):
+            if getattr(self, name) is None:
+                continue
+            rows = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, rows)
+            if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
+                raise DimensionMismatch(f"{name} must be rows of length "
                                         "ambient_dim")
-            if not np.isfinite(self.vertices).all():
-                raise InvalidArgument("non-finite vertex coordinate")
+            if not np.isfinite(rows).all():
+                raise InvalidArgument(f"non-finite entry in {name}")
+            if rows.shape[0] == 0:
+                raise InvalidArgument(f"need at least one {noun}")
+        if self.vertices is not None:
             if np.abs(self.vertices @ self.u - 1.0).max() > FEASTOL:
                 raise InvalidArgument("vertex with u(v) != 1")
+            if (self.ineqs is not None
+                    and (self.vertices @ self.ineqs.T).min() < -FEASTOL):
+                raise InvalidArgument("vertex violating an inequality")
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,8 @@ class Measurement:
         object.__setattr__(self, "effects", tuple(self.effects))
 
     def validate(self, space):
+        for e in self.effects:
+            _check_dim(space, e.coeffs, "effect")
         total = sum(e.coeffs for e in self.effects)
         if np.abs(total - space.u).max() > FEASTOL:
             raise InvalidArgument("effects do not sum to the unit functional")
@@ -203,9 +220,8 @@ def make_ball(d):
 
 
 def make_polytopic(vertices, u):
-    return StateSpace(kind="polytopic", ambient_dim=len(u),
-                      u=np.asarray(u, dtype=float),
-                      vertices=np.asarray(vertices, dtype=float))
+    return StateSpace(kind="polytopic", ambient_dim=len(u), u=u,
+                      vertices=vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +236,51 @@ def _check_dim(space, x, what):
     return x
 
 
+def _satisfies_ineqs(space, x):
+    return (abs(space.u @ x - 1.0) <= FEASTOL
+            and (space.ineqs @ x).min() >= -FEASTOL)
+
+
+def _tight_rows_full_rank(space, x):
+    """Do the rows of ineqs tight at x, stacked with u, have full rank?
+
+    For a point of the polytope this makes x the only point on the face
+    those rows cut out: a vertex.
+    """
+    face = np.vstack([space.ineqs[np.abs(space.ineqs @ x) <= FEASTOL], space.u])
+    return np.linalg.matrix_rank(face, tol=1e-10) == space.ambient_dim
+
+
+def enumerate_vertices(space):
+    """The vertices of a polytopic space.  An ``ineqs`` space gets them by
+    double description on first use and keeps them, each certified from
+    the rows alone: feasible, with full-rank tight rows."""
+    if space.kind != "polytopic":
+        raise UnsupportedKind("vertex enumeration needs a polytopic space")
+    if space.vertices is not None:
+        return space.vertices
+    verts = geometry.polytope_vertices(space.ineqs, space.u)
+    for v in verts:
+        if not _satisfies_ineqs(space, v):
+            raise NumericalFailure(
+                "double description produced an infeasible point")
+        if not _tight_rows_full_rank(space, v):
+            raise NumericalFailure(
+                "double description produced a non-extremal point")
+    object.__setattr__(space, "vertices", verts)
+    return verts
+
+
 def contains_state(space, x):
     """Is x a valid normalized state of the space?
 
-    A polytopic point equal to a listed vertex is a state without an LP.
+    On an ``ineqs`` space this is one product with the rows; otherwise a
+    polytopic point equal to a listed vertex is a state without an LP.
     """
     x = _check_dim(space, x, "state")
     if space.kind == "polytopic":
+        if space.ineqs is not None:
+            return _satisfies_ineqs(space, x)
         verts = space.vertices
         if (verts == x).all(axis=1).any():
             return True
@@ -245,7 +299,7 @@ def is_effect(space, e):
     """Is e a linear functional with range [0,1] on all states?"""
     c = _check_dim(space, e.coeffs if isinstance(e, Effect) else e, "effect")
     if space.kind == "polytopic":
-        vals = space.vertices @ c
+        vals = enumerate_vertices(space) @ c
         return vals.min() >= -FEASTOL and vals.max() <= 1.0 + FEASTOL
     if space.kind == "quantum":
         em = coords_to_mat(c)
@@ -263,6 +317,8 @@ def is_pure(space, omega):
     if not contains_state(space, omega):
         raise NotAState("argument is not a valid state")
     if space.kind == "polytopic":
+        if space.ineqs is not None:
+            return _tight_rows_full_rank(space, omega)
         verts = space.vertices
         match = np.where(np.abs(verts - omega).max(axis=1) <= FEASTOL)[0]
         if match.size == 0:
@@ -282,7 +338,7 @@ def is_pure(space, omega):
 def _sampled_pure_states(space, n_samples, seed):
     """The vertices of a polytopic space, else n_samples seeded pure states."""
     if space.kind == "polytopic":
-        return space.vertices
+        return enumerate_vertices(space)
     rng = np.random.default_rng(seed)
     out = []
     if space.kind == "quantum":
@@ -388,7 +444,7 @@ def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
 def space_to_json(space):
     doc = {"kind": space.kind, "u": space.u.tolist()}
     if space.kind == "polytopic":
-        doc["vertices"] = space.vertices.tolist()
+        doc["vertices"] = enumerate_vertices(space).tolist()
     elif space.kind == "quantum":
         doc["N"] = space.hilbert_dim
     elif space.kind == "ball":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 import gptkit
 from gptkit import bell, cli, spaces
+
+from .conftest import polygon
 
 try:
     import tomllib
@@ -247,3 +250,42 @@ def test_unread_options_rejected(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
+
+
+# sha256 of the stdout of each call, recorded before maximal composites
+# became StateSpaces given by inequalities; the output must not move
+PINNED_STDOUT = {
+    "c3-pentagon-max":
+        "f47284a09b85169d610a00c363904ce30d845112e86493efa8c9239c316cae58",
+    "c3-pentagon-max-vertices":
+        "206ac618639c36954f0f37b16dcfccc914054891d8a1037123baad410b8aaa02",
+    "c3-pentagon-min":
+        "ff7a43c43ab920309f6f6627fa3ca3a749ece917544adf11955a1105585ebfa9",
+    "gbit-gbit-max":
+        "799f7fe6b313c18229b25808e9f8b22a83a457e8507dbcd5b3927ab5e8d462b7",
+    "gbit-gbit-max-vertices":
+        "43838ed2d52d7a8196b71850ef233f96b4d61a9e181e561f277513e70fcd0aca",
+    "gbit-gbit-min":
+        "e62cd17a04248e26e5853fc015689b321b75fa16abc1407fb045f82035c41efd",
+    "nspolytope-json":
+        "844bc61a53167caf9de0b70e0c998c18d99e91b0ee2a90a89e50d3c91d68c7d5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
+def test_stdout_pinned(capsys, tmp_path, case):
+    if case == "nspolytope-json":
+        argv = ["nspolytope", "--format", "json"]
+    else:
+        name_a, name_b, kind, *flag = case.split("-")
+        factors = {"gbit": spaces.make_gbit(), "c3": spaces.make_classical(3),
+                   "pentagon": polygon(5)}
+        for side, name in (("a", name_a), ("b", name_b)):
+            (tmp_path / f"{side}.json").write_text(
+                spaces.space_to_json(factors[name]))
+        argv = ["compose", "--a", str(tmp_path / "a.json"),
+                "--b", str(tmp_path / "b.json"), "--kind", kind]
+        argv += [f"--{f}" for f in flag]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[case]

@@ -3,16 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from gptkit import distinguish, geometry
+from gptkit import distinguish, geometry, lp
 from gptkit.composites import (check_supermultiplicativity,
-                               contains_composite_state,
                                effect_cone_generators, enumerate_vertices,
                                max_tensor, min_tensor, product_state,
                                quantum_product_reduced, reduced_state,
                                sampled_block_positive)
-from gptkit.errors import NumericalFailure, ScaleLimit, UnsupportedKind
-from gptkit.spaces import (make_ball, make_classical, make_gbit, make_quantum,
-                           mat_to_coords)
+from gptkit.errors import (DimensionMismatch, InvalidArgument, NumericalFailure,
+                           ScaleLimit, UnsupportedKind)
+from gptkit.spaces import (contains_state, is_pure, make_ball, make_classical,
+                           make_gbit, make_quantum, mat_to_coords)
 
 from .conftest import polygon
 
@@ -67,18 +67,18 @@ def test_min_subset_of_max():
     g = make_gbit()
     comp = max_tensor(g, g)
     for v in min_tensor(g, g).vertices:
-        assert contains_composite_state(comp, v)
+        assert contains_state(comp, v)
 
 
 def test_membership_and_nonmembership():
     g = make_gbit()
     comp = max_tensor(g, g)
     center = product_state(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))
-    assert contains_composite_state(comp, center)
-    assert not contains_composite_state(comp, 2 * center)
+    assert contains_state(comp, center)
+    assert not contains_state(comp, 2 * center)
     bad = center.copy()
     bad[0] = 5.0
-    assert not contains_composite_state(comp, bad)
+    assert not contains_state(comp, bad)
 
 
 def test_reduced_states():
@@ -196,3 +196,58 @@ def test_enumerated_vertices_are_checked(monkeypatch):
                             lambda ineqs, u, p=point: np.vstack([verts, p]))
         with pytest.raises(NumericalFailure):
             enumerate_vertices(max_tensor(g, g))
+
+
+@pytest.mark.parametrize("check", [
+    lambda c: quantum_product_reduced(c, 2, 2, "A"),
+    lambda c: sampled_block_positive(c, 2, 2)],
+    ids=["reduced", "block-positive"])
+def test_quantum_product_length_checked(check):
+    with pytest.raises(DimensionMismatch):
+        check(np.zeros(9))
+
+
+@pytest.mark.parametrize("a, b", [
+    (make_gbit(), make_gbit()), (polygon(4), polygon(5)),
+    (make_classical(2), make_classical(3))],
+    ids=["gbit-gbit", "square-pentagon", "c2-c3"])
+def test_ineqs_verdicts_match_vertex_hull(a, b):
+    # points on chords between two vertices, pushed 5% in or out from the
+    # centroid: the row test and the hull LP over the vertices must agree
+    comp = max_tensor(a, b)
+    verts = enumerate_vertices(comp)
+    centre = verts.mean(axis=0)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        i, j = rng.choice(len(verts), 2, replace=False)
+        t = rng.uniform()
+        chord = t * verts[i] + (1 - t) * verts[j]
+        x = centre + rng.uniform(0.95, 1.05) * (chord - centre)
+        assert contains_state(comp, x) == (lp.hull_weights(verts, x) is not None)
+    assert all(is_pure(comp, v) for v in verts)
+
+
+def test_nested_max_composite_needs_no_enumeration(monkeypatch):
+    def refuse(ineqs, u):
+        raise AssertionError("vertex enumeration called")
+    monkeypatch.setattr(geometry, "polytope_vertices", refuse)
+    g = make_gbit()
+    inner = max_tensor(g, g)
+    comp = max_tensor(g, inner)
+    assert comp.ambient_dim == 27 and comp.ineqs.shape == (64, 27)
+    assert comp.factors[0] is g and comp.factors[1] is inner
+    centre, corner = np.array([0.0, 0.0, 1.0]), g.vertices[2]
+    assert contains_state(comp, product_state(centre, product_state(centre,
+                                                                    centre)))
+    pure = product_state(corner, product_state(corner, corner))
+    assert contains_state(comp, pure) and is_pure(comp, pure)
+    assert not is_pure(comp, (pure + product_state(
+        g.vertices[0], product_state(corner, corner))) / 2)
+
+
+def test_non_finite_point_rejected_on_max_composite():
+    g = make_gbit()
+    x = product_state(g.vertices[0], g.vertices[1])
+    x[4] = np.nan
+    with pytest.raises(InvalidArgument):
+        contains_state(max_tensor(g, g), x)

@@ -92,6 +92,11 @@ def test_measurement_validate():
         bad.validate(g)
 
 
+def test_measurement_effect_length_checked():
+    with pytest.raises(DimensionMismatch):
+        Measurement((Effect([1.0, 0.0]),)).validate(make_gbit())
+
+
 def test_transformations_polytopic():
     g = make_gbit()
     # rotation by 90 degrees permutes the square's vertices
@@ -163,6 +168,21 @@ def test_json_roundtrip():
 def test_vertex_normalization_checked():
     with pytest.raises(Exception):
         make_polytopic([[1.0, 2.0]], [0.0, 1.0])
+
+
+def test_empty_vertex_list_rejected():
+    with pytest.raises(InvalidArgument, match="need at least one vertex"):
+        make_polytopic(np.zeros((0, 3)), [0.0, 0.0, 1.0])
+
+
+def test_vertices_checked_against_ineqs():
+    # the square's four facets; (1, 1, 1) is a vertex, (2, 0, 1) is not a state
+    square = np.array([[1.0, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]])
+    fields = dict(kind="polytopic", ambient_dim=3, u=[0.0, 0.0, 1.0],
+                  ineqs=square)
+    assert spaces.StateSpace(vertices=make_gbit().vertices, **fields)
+    with pytest.raises(InvalidArgument, match="violating an inequality"):
+        spaces.StateSpace(vertices=[[1.0, 1, 1], [2, 0, 1]], **fields)
 
 
 def test_non_finite_space_rejected():
