@@ -17,11 +17,20 @@ from functools import lru_cache
 import numpy as np
 
 from . import lp
-from .errors import InvalidSetup, InvalidTable, NotAState, NumericalFailure
+from .errors import (InvalidArgument, InvalidSetup, InvalidTable, NotAState,
+                     NumericalFailure)
 from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL
 from .spaces import contains_state
 
 OUTCOMES = (-1, +1)
+INPUTS = (0, 1)
+
+
+def _labels(values, allowed, what):
+    """The values as ints, each checked to be one of ``allowed``."""
+    if any(v not in allowed for v in values):
+        raise InvalidArgument(f"{what} must be in {allowed}, got {values}")
+    return [int(v) for v in values]
 
 
 def _strategy_tables():
@@ -74,6 +83,8 @@ class ProbTable222:
         object.__setattr__(self, "p", p)
 
     def prob(self, a, b, x, y):
+        a, b = _labels((a, b), OUTCOMES, "outcomes")
+        x, y = _labels((x, y), INPUTS, "inputs")
         return float(self.p.reshape(2, 2, 2, 2)[x, y, (a + 1) // 2, (b + 1) // 2])
 
 
@@ -101,6 +112,7 @@ def is_nonsignalling(table):
 
 def expectation(table, x, y):
     """Correlator E_{x,y} = <a b> for the given input pair."""
+    x, y = _labels((x, y), INPUTS, "inputs")
     return float((table.p @ _CORR).reshape(2, 2)[x, y])
 
 
@@ -124,7 +136,11 @@ def classify_ns_vertex(table, tol=DEDUP_TOL):
 
 
 def classical_membership(table):
-    """Hidden-variable decomposition over the 16 deterministic tables, or None."""
+    """Hidden-variable decomposition over the 16 deterministic tables, or
+    None, certified by a Farkas vector (a Bell inequality the table
+    violates).  ``lp.hull_weights`` tries its centroid-ray Farkas vector
+    first, which refutes the 8 PR boxes, and many other nonlocal tables,
+    without an LP."""
     weights = lp.hull_weights(_DET, table.p)
     if weights is None:
         return None

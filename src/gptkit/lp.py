@@ -20,6 +20,12 @@ Infeasible verdicts are certified: phase 1 ends with a Farkas vector
 y = c_B B^{-1} with y^T A <= 0 and y^T b > 0 for the standard-form system.
 y is solved for from the basis columns of the original [A | I], not read
 off the tableau, and re-checked before the verdict is returned.
+
+``hull_weights`` (is x a convex combination of given points?) has two
+kinds of certificate for "no".  Before it poses the LP it tries one Farkas
+vector of its own, from the ray between the points' centroid and x.  That
+guess must pass the check the simplex's certificate passes (``_refutes``);
+when it fails, the LP is posed exactly as it would be without the guess.
 """
 
 from dataclasses import dataclass, field
@@ -152,6 +158,13 @@ def _standard_form(prob):
     return tab, flip
 
 
+def _refutes(y, a, b):
+    """Is y a Farkas vector for A z = b, z >= 0: y.A <= 0 and y.b > 0, each
+    at CERT_TOL, the second scaled by max(1, |b|_inf)?"""
+    return bool((y @ a).max() <= CERT_TOL
+                and y @ b > CERT_TOL * max(1.0, np.abs(b).max()))
+
+
 def solve(prob: LpProblem) -> LpResult:
     """A feasible x meeting every row and x >= 0 within FEASTOL, or a
     validated Farkas certificate of infeasibility."""
@@ -172,7 +185,7 @@ def solve(prob: LpProblem) -> LpResult:
             y = np.linalg.solve(full.T, art.astype(float))
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular basis at the end of phase 1") from None
-        if np.any(y @ a > CERT_TOL) or y @ b <= CERT_TOL * max(1.0, np.abs(b).max()):
+        if not _refutes(y, a, b):
             raise NumericalFailure("infeasibility certificate failed validation")
         y[flip] *= -1.0
         return LpResult(status="infeasible", certificate=y)
@@ -198,8 +211,25 @@ def _check_feasible(prob, x):
 
 def hull_weights(points, x):
     """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when x is
-    outside the convex hull of the rows of ``points`` (certified)."""
+    outside the convex hull of the rows of ``points``.
+
+    Every None is certified by a Farkas vector y for [points^T; 1^T] w =
+    [x; 1].  The first tried, before any LP, is the centroid ray: with
+    d = x - mean(points) and top = max(points @ d), y = (d, -top) scaled
+    to unit 1-norm has y.A <= 0 by construction, and y.b is the margin by
+    which the plane d.z = top separates x from the points.  If that margin
+    is not above CERT_TOL (x inside, or only another plane separates), the
+    LP decides, and its own certificate backs a None.  The guess never
+    contradicts the LP: LP weights leave residuals within FEASTOL, so they
+    would bound y.b by FEASTOL < CERT_TOL.
+    """
     k = points.shape[0]
-    res = solve(LpProblem(n_vars=k, a_eq=np.vstack([points.T, np.ones(k)]),
-                          b_eq=np.concatenate([x, [1.0]])))
+    prob = LpProblem(n_vars=k, a_eq=np.vstack([points.T, np.ones(k)]),
+                     b_eq=np.concatenate([x, [1.0]]))
+    d = prob.b_eq[:-1] - prob.a_eq[:-1].mean(axis=1)
+    y = np.append(d, -(d @ prob.a_eq[:-1]).max())
+    norm = np.abs(y).sum()
+    if norm > 0 and _refutes(y / norm, prob.a_eq, prob.b_eq):
+        return None
+    res = solve(prob)
     return res.x if res.status == "optimal" else None

@@ -12,9 +12,9 @@ Three kinds of state space are supported:
 
 A tensor product (``composites``) is a polytopic space with its two
 factor spaces in ``factors``, and composites nest.  On an ``ineqs`` space
-membership and purity are one product and one rank, with no LP and no
-enumeration; other polytopic questions are LP feasibility, and quantum
-and ball ones are analytic (eigenvalues).  The effect set is always the
+membership and purity are one product and one rank, and an effect is
+checked by two cone LPs, with no enumeration; other polytopic questions
+are LP feasibility, and quantum and ball ones are analytic (eigenvalues).  The effect set is always the
 full dual interval [0, u] (no-restriction hypothesis).
 
 The three map questions share one inclusion test, _maps_into.  Their
@@ -251,6 +251,15 @@ def _tight_rows_full_rank(space, x):
     return np.linalg.matrix_rank(face, tol=1e-10) == space.ambient_dim
 
 
+def _nonnegative_on_states(space, f):
+    """Is f >= 0 on every state of an ``ineqs`` space?  By the affine Farkas
+    lemma exactly when f = ineqs^T lam + mu u for some lam, mu >= 0: one
+    LP, with no vertex enumeration."""
+    a = np.vstack([space.ineqs, space.u]).T
+    res = lp.solve(lp.LpProblem(n_vars=a.shape[1], a_eq=a, b_eq=f))
+    return res.status == "optimal"
+
+
 def enumerate_vertices(space):
     """The vertices of a polytopic space.  An ``ineqs`` space gets them by
     double description on first use and keeps them, each certified from
@@ -275,7 +284,9 @@ def contains_state(space, x):
     """Is x a valid normalized state of the space?
 
     On an ``ineqs`` space this is one product with the rows; otherwise a
-    polytopic point equal to a listed vertex is a state without an LP.
+    polytopic point equal to a listed vertex is a state without an LP, and
+    ``lp.hull_weights`` refutes most outside points by its centroid-ray
+    Farkas vector before it would pose the LP.
     """
     x = _check_dim(space, x, "state")
     if space.kind == "polytopic":
@@ -296,10 +307,17 @@ def contains_state(space, x):
 
 
 def is_effect(space, e):
-    """Is e a linear functional with range [0,1] on all states?"""
+    """Is e a linear functional with range [0,1] on all states?
+
+    On an ``ineqs`` space, e and u - e must each lie in the cone of the
+    rows and u (two LPs); otherwise e is evaluated on the vertices.
+    """
     c = _check_dim(space, e.coeffs if isinstance(e, Effect) else e, "effect")
     if space.kind == "polytopic":
-        vals = enumerate_vertices(space) @ c
+        if space.ineqs is not None:
+            return (_nonnegative_on_states(space, c)
+                    and _nonnegative_on_states(space, space.u - c))
+        vals = space.vertices @ c
         return vals.min() >= -FEASTOL and vals.max() <= 1.0 + FEASTOL
     if space.kind == "quantum":
         em = coords_to_mat(c)
@@ -312,7 +330,13 @@ def is_effect(space, e):
 
 
 def is_pure(space, omega):
-    """Is omega an extremal point of the state space?"""
+    """Is omega an extremal point of the state space?
+
+    On an ``ineqs`` space, the rank of the rows tight at omega decides.  On
+    a vertex space, omega must be a listed vertex outside the hull of the
+    others; ``lp.hull_weights`` certifies that, often by its centroid-ray
+    Farkas vector with no LP, else by the LP.
+    """
     omega = _check_dim(space, omega, "state")
     if not contains_state(space, omega):
         raise NotAState("argument is not a valid state")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gptkit import bell, lp
-from gptkit.errors import InvalidSetup, InvalidTable, NumericalFailure
+from gptkit.errors import (InvalidArgument, InvalidSetup, InvalidTable,
+                           NumericalFailure)
 
 SQRT8 = 2 * np.sqrt(2)
 
@@ -365,3 +366,15 @@ def test_classical_model_is_checked(monkeypatch):
     monkeypatch.setattr(bell.lp, "solve", lambda prob: wrong)
     with pytest.raises(NumericalFailure):
         bell.classical_membership(bell.mix_deterministic(np.ones(16)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t.prob(0, 1, 0, 0), lambda t: t.prob(1, 2, 0, 0),
+    lambda t: t.prob(1, 1, -1, 0), lambda t: t.prob(1, 1, 0, 2),
+    lambda t: bell.expectation(t, -1, 0), lambda t: bell.expectation(t, 0, 2)],
+    ids=["outcome-0", "outcome-2", "input-minus-1", "input-2",
+         "correlator-input-minus-1", "correlator-input-2"])
+def test_labels_checked(call):
+    # outcomes are -1/+1 and inputs 0/1; anything else used to index silently
+    with pytest.raises(InvalidArgument):
+        call(bell.pr_box())

@@ -11,8 +11,9 @@ from gptkit.composites import (check_supermultiplicativity,
                                sampled_block_positive)
 from gptkit.errors import (DimensionMismatch, InvalidArgument, NumericalFailure,
                            ScaleLimit, UnsupportedKind)
-from gptkit.spaces import (contains_state, is_pure, make_ball, make_classical,
-                           make_gbit, make_quantum, mat_to_coords)
+from gptkit.spaces import (Effect, Measurement, contains_state, is_effect,
+                           is_pure, make_ball, make_classical, make_gbit,
+                           make_quantum, mat_to_coords)
 
 from .conftest import polygon
 
@@ -251,3 +252,38 @@ def test_non_finite_point_rejected_on_max_composite():
     x[4] = np.nan
     with pytest.raises(InvalidArgument):
         contains_state(max_tensor(g, g), x)
+
+
+def test_is_effect_on_nested_max_composite_needs_no_enumeration(monkeypatch):
+    def refuse(ineqs, u):
+        raise AssertionError("vertex enumeration called")
+    monkeypatch.setattr(geometry, "polytope_vertices", refuse)
+    g = make_gbit()
+    comp = max_tensor(g, max_tensor(g, g))
+    assert is_effect(comp, comp.u / 2) and is_effect(comp, comp.u)
+    assert not is_effect(comp, 1.5 * comp.u)
+    assert not is_effect(comp, -comp.u / 2)
+    half = product_state(np.array([0.5, 0.0, 0.5]), product_state(g.u, g.u))
+    assert is_effect(comp, half) and not is_effect(comp, 2.5 * half)
+    Measurement((Effect(half), Effect(comp.u - half))).validate(comp)
+
+
+@pytest.mark.parametrize("a, b", [
+    (make_gbit(), make_gbit()), (polygon(4), polygon(5))],
+    ids=["gbit-gbit", "square-pentagon"])
+def test_is_effect_rows_match_vertex_values(a, b):
+    # e = u/2 + s r with r random: the cone LPs on the rows and the values
+    # on the enumerated vertices give the same verdict outside a 1e-6 band
+    comp = max_tensor(a, b)
+    verts = enumerate_vertices(comp)
+    rng = np.random.default_rng(5)
+    verdicts = []
+    while min(verdicts.count(True), verdicts.count(False)) < 60:
+        r = rng.normal(size=comp.ambient_dim)
+        e = comp.u / 2 + rng.uniform(0.2, 1.0) / np.abs(verts @ r).max() * r
+        vals = verts @ e
+        if min(abs(vals.min()), abs(vals.max() - 1.0)) < 1e-6:
+            continue
+        valid = vals.min() >= 0.0 and vals.max() <= 1.0
+        assert is_effect(comp, e) == valid
+        verdicts.append(valid)

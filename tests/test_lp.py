@@ -1,8 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from gptkit import lp
+from gptkit import bell, lp
 from gptkit.errors import DimensionMismatch, InvalidArgument, NumericalFailure
+from gptkit.spaces import contains_state, is_pure, make_gbit
+
+from .conftest import polygon
+from .oracles import scipy_convex_combination_feasible
 
 
 def test_equality_and_inequality():
@@ -129,3 +136,112 @@ def test_non_finite_problem_rejected(where, bad):
     fields[where].flat[0] = bad
     with pytest.raises(InvalidArgument, match="non-finite"):
         lp.LpProblem(n_vars=2, **fields)
+
+
+def _weights_or_failure(hull, points, x):
+    """hull(points, x), or the NumericalFailure it raised."""
+    try:
+        return hull(points, x)
+    except NumericalFailure as exc:
+        return exc
+
+
+def _lp_only(points, x):
+    """The hull LP posed by hand, with no guess before it."""
+    k = points.shape[0]
+    res = lp.solve(lp.LpProblem(n_vars=k, a_eq=np.vstack([points.T, np.ones(k)]),
+                                b_eq=np.append(x, 1.0)))
+    return res.x if res.status == "optimal" else None
+
+
+def _hull_cases(n_hulls):
+    """(points, x, inside) over seeded hulls of 1-30 points in dimension 2-6.
+
+    Each hull gives one point whose verdict ``inside`` is known by
+    construction (a convex combination, or a point at least 0.05 beyond
+    the hull along a direction) and one point in the band, with ``inside``
+    None: a listed point, a point on a facet, or one within 1e-9 to 1e-6
+    of a facet or of the centroid, on either side.
+    """
+    rng = np.random.default_rng(20)
+    for case in range(n_hulls):
+        dim, k = int(rng.integers(2, 7)), int(rng.integers(1, 31))
+        points = rng.normal(size=(k, dim))
+        centre = points.mean(axis=0)
+        if case % 2:
+            yield points, rng.dirichlet(np.ones(k)) @ points, True
+        else:
+            g = rng.normal(size=dim)
+            far = points[(points @ g).argmax()]
+            yield (points, far + rng.uniform(0.05, 1.0) * g / np.linalg.norm(g),
+                   False)
+        step = rng.uniform(1e-9, 1e-6) * rng.choice([-1.0, 1.0])
+        kind = case % 4
+        if kind == 0:
+            yield points, points[rng.integers(k)].copy(), None
+        elif kind == 1 or k <= dim:  # qhull needs a full-dimensional hull
+            g = rng.normal(size=dim)
+            yield points, centre + step * g / np.linalg.norm(g), None
+        else:
+            hull = ConvexHull(points)
+            f = rng.integers(len(hull.simplices))
+            on = points[hull.simplices[f]].mean(axis=0)
+            # equations hold unit outward normals; kind 2 stays on the facet
+            yield points, on + (kind == 3) * step * hull.equations[f, :-1], None
+
+
+def test_hull_shortcut_matches_lp(monkeypatch):
+    # the centroid-ray guess may only replace an "outside" verdict, and
+    # every weight vector still comes from the same LP, bit for bit
+    posed = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prob: posed.append(prob) or solve(prob))
+    fired = 0
+    for n, (points, x, inside) in enumerate(_hull_cases(2000)):
+        direct = _weights_or_failure(_lp_only, points, x)
+        before = len(posed)
+        w = _weights_or_failure(lp.hull_weights, points, x)
+        fired += len(posed) == before
+        if isinstance(direct, NumericalFailure):
+            # the same LP fails, unless the guess refuted x before it
+            assert w is None or isinstance(w, NumericalFailure)
+            continue
+        if direct is None:
+            assert w is None
+        else:
+            assert w is not None and (w == direct).all()
+        if inside is not None:
+            assert (w is not None) == inside
+            if n % 10 == 0:  # HiGHS is slow: every fifth clear case
+                assert scipy_convex_combination_feasible(points, x) == inside
+    assert fired > 500
+
+
+def test_hull_shortcut_refutes_without_lp(monkeypatch):
+    def refuse(prob):
+        raise NumericalFailure("LP posed")
+    monkeypatch.setattr(lp, "solve", refuse)
+    for v in np.ndindex(2, 2, 2):
+        assert bell.classical_membership(bell.pr_box(*v)) is None
+    for space in (make_gbit(), polygon(5)):
+        centre = space.vertices.mean(axis=0)
+        for v in space.vertices:
+            assert not contains_state(space, centre + 1.05 * (v - centre))
+            assert is_pure(space, v)
+    with pytest.raises(NumericalFailure, match="LP posed"):
+        contains_state(make_gbit(), np.array([0.25, -0.5, 1.0]))
+
+
+def test_hull_shortcut_guards():
+    # no input reaches the guess's arithmetic unchecked: a NaN or a division
+    # by zero there would warn, and a warning fails this test
+    points = np.random.default_rng(4).normal(size=(6, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x at the centroid has no ray: the LP decides
+        assert lp.hull_weights(points, points.mean(axis=0)) is not None
+        with pytest.raises(DimensionMismatch):
+            lp.hull_weights(points, np.zeros(4))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(InvalidArgument, match="non-finite"):
+                lp.hull_weights(points, np.array([bad, 0.0, 0.0]))
