@@ -9,6 +9,7 @@ the GPTKIT_SEED environment variable (falling back to 0).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -131,13 +132,11 @@ def cmd_distinguish(args):
 def cmd_compose(args):
     a = spaces.space_from_json(_read(args.a))
     b = spaces.space_from_json(_read(args.b))
-    if args.kind == "min":
-        comp = composites.min_tensor(a, b)
-    else:
-        comp = composites.max_tensor(a, b)
-        if args.vertices:
-            composites.enumerate_vertices(comp)
-    _write(args.output, composites.composite_to_json(comp))
+    comp = (composites.min_tensor if args.kind == "min"
+            else composites.max_tensor)(a, b)
+    if args.vertices:
+        comp = dataclasses.replace(comp, vertices=composites.enumerate_vertices(comp))
+    _write(args.output, spaces.space_to_json(comp))
     return EXIT_OK
 
 

@@ -7,9 +7,8 @@ effect-cone generators of the factors (a factor's own ``ineqs``, else its
 ``effect_cone_generators``), plus u_A (x) u_B = 1; nonnegativity on these
 products implies it for all product effects, so the list is exact.
 ``contains_state`` and ``is_pure`` on it need no LP and no enumeration.
+Composites go to and from JSON, factors included, as every space does.
 """
-
-import json
 
 import numpy as np
 
@@ -18,9 +17,9 @@ from .distinguish import (DistinguishabilityWitness, _largest_distinguishable,
                           perfectly_distinguishable)
 from .errors import DimensionMismatch, NotAState, ScaleLimit, UnsupportedKind
 from .lp import FEASTOL, WITNESS_TOL
-from .spaces import (Effect, Measurement, StateSpace, contains_state,
-                     coords_to_mat, enumerate_vertices, mat_to_coords,
-                     space_to_json)
+from .spaces import (Effect, Measurement, StateSpace, _with_vertices,
+                     contains_state, coords_to_mat, enumerate_vertices,
+                     mat_to_coords)
 
 
 def effect_cone_generators(space):
@@ -45,11 +44,10 @@ def min_tensor(a, b):
     """Convex hull of the product states: vertex list v_A (x) v_B."""
     if a.kind != "polytopic" or b.kind != "polytopic":
         raise UnsupportedKind("tensor products implemented for polytopic factors")
-    verts = [np.kron(va, vb) for va in enumerate_vertices(a)
-             for vb in enumerate_vertices(b)]
+    verts_b = enumerate_vertices(b)
+    verts = [np.kron(va, vb) for va in enumerate_vertices(a) for vb in verts_b]
     return StateSpace(kind="polytopic", ambient_dim=a.ambient_dim * b.ambient_dim,
-                      u=np.kron(a.u, b.u), vertices=geometry.dedup_rows(verts),
-                      factors=(a, b))
+                      u=np.kron(a.u, b.u), vertices=verts, factors=(a, b))
 
 
 def _cone_rows(space):
@@ -154,8 +152,9 @@ def check_supermultiplicativity(a, b, comp=None):
                       for e_i in np.eye(space.hilbert_dim)]
             sets.append(perfectly_distinguishable(space, states))
         else:
-            verts = enumerate_vertices(space)
-            sets.append(_largest_distinguishable(space, verts, len(verts)))
+            space = _with_vertices(space)
+            sets.append(_largest_distinguishable(space, space.vertices,
+                                                 len(space.vertices)))
     wa, wb = sets
     na, nb = len(wa.states), len(wb.states)
     prod_states = [product_state(sa, sb) for sa in wa.states for sb in wb.states]
@@ -175,15 +174,3 @@ def check_supermultiplicativity(a, b, comp=None):
         "verified": delta_err <= WITNESS_TOL,
     }
 
-
-def composite_to_json(comp):
-    doc = {
-        "kind": "max" if comp.ineqs is not None else "min",
-        "factors": [json.loads(space_to_json(f)) for f in comp.factors],
-        "u": comp.u.tolist(),
-    }
-    if comp.vertices is not None:
-        doc["vertices"] = comp.vertices.tolist()
-    if comp.ineqs is not None:
-        doc["ineqs"] = comp.ineqs.tolist()
-    return json.dumps(doc)

@@ -16,8 +16,8 @@ import numpy as np
 from . import lp
 from .errors import (InvalidArgument, NotAState, NumericalFailure, ScaleLimit,
                      UnsupportedKind)
-from .spaces import (Effect, Measurement, coords_to_mat, contains_state,
-                     enumerate_vertices, mat_to_coords)
+from .spaces import (Effect, Measurement, _with_vertices, coords_to_mat,
+                     contains_state, enumerate_vertices, mat_to_coords)
 
 MAX_SUBSETS = 10 ** 6
 
@@ -159,10 +159,11 @@ def capacity(space, candidates=None, n_max=8):
         raise InvalidArgument("need n_max >= 1")
     if space.kind == "quantum" and candidates is None:
         return min(space.hilbert_dim, n_max)
+    space = _with_vertices(space)
     if candidates is None:
         if space.kind != "polytopic":
             raise InvalidArgument("candidate states required for this kind")
-        candidates = enumerate_vertices(space)
+        candidates = space.vertices
     wit = _largest_distinguishable(space, candidates, n_max)
     return 0 if wit is None else len(wit.states)
 

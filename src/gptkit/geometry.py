@@ -13,7 +13,7 @@ them.
 import numpy as np
 
 from .errors import ScaleLimit
-from .lp import DEDUP_TOL, FEASTOL
+from .lp import FEASTOL
 
 # Desk-scale limits of ``polytope_vertices``.
 MAX_INEQS = 64
@@ -75,22 +75,6 @@ def cone_extreme_rays(a):
     return rays
 
 
-def dedup_rows(rows, tol=DEDUP_TOL):
-    """The rows with near-duplicates dropped, in first-occurrence order.
-
-    A row is dropped when it lies within ``tol`` (sup-norm) of a row
-    already kept.
-    """
-    rows = np.asarray(rows, dtype=float)
-    out = np.empty_like(rows)
-    k = 0
-    for r in rows:
-        if not (np.abs(out[:k] - r).max(axis=1) <= tol).any():
-            out[k] = r
-            k += 1
-    return out[:k]
-
-
 def polytope_vertices(ineqs, u):
     """Vertices of {x : ineqs @ x >= 0, u.x = 1} via double description.
 
@@ -110,4 +94,4 @@ def polytope_vertices(ineqs, u):
         if h <= FEASTOL:
             raise ScaleLimit("unbounded polytope: ray with u.r <= 0")
         verts.append(r / h)
-    return dedup_rows(verts)
+    return np.array(verts)

@@ -44,9 +44,10 @@ MODEL_TOL = 1e-7
 # A distinguishability witness from the LP must reach e_i(omega_j) = delta_ij
 # to this; each value sums effect coefficients solved only to FEASTOL.
 WITNESS_TOL = 1e-7
-# Double-description rays and vertices within this sup-norm distance are one
-# point: normalising and recombining rays moves a vertex reached along two
-# paths by more than FEASTOL, while distinct vertices lie much further apart.
+# ``bell.classify_ns_vertex`` names a table after a deterministic or PR box
+# within this sup-norm distance: a vertex from the double description carries
+# rounding from normalising and recombining rays, above FEASTOL, while distinct
+# no-signalling vertices lie at least 1/2 apart.
 DEDUP_TOL = 1e-8
 # Pivot threshold: entries smaller than this are treated as zero.
 _PIVTOL = 1e-10

@@ -3,8 +3,8 @@
 Three kinds of state space are supported:
 
 * polytopic -- a polytope in R^K given by its vertices, by rows r with
-  r.x >= 0 (``ineqs``), or both; ``enumerate_vertices`` fills in the
-  vertices on first use,
+  r.x >= 0 (``ineqs``), or both; ``enumerate_vertices`` computes the
+  vertices of an ``ineqs`` space and leaves the space as it was,
 * quantum   -- density matrices of size N, coordinatized in a fixed
   orthonormal Hermitian basis so states are plain real vectors of
   length N^2,
@@ -20,11 +20,11 @@ full dual interval [0, u] (no-restriction hypothesis).
 The three map questions share one inclusion test, _maps_into.  Their
 answers are exact for polytopic spaces and ball -> ball maps, with or
 without a translation; a quantum map is tested on seeded sampled pure
-states ("no" is certain, "yes" sampled).
+states ("no" is certain, "yes" sampled).  A space never changes once built.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -121,6 +121,13 @@ class StateSpace:
             if (self.ineqs is not None
                     and (self.vertices @ self.ineqs.T).min() < -FEASTOL):
                 raise InvalidArgument("vertex violating an inequality")
+        fs = self.factors
+        if fs is not None and (
+                len(fs) != 2 or not all(isinstance(f, StateSpace)
+                                        and f.kind == "polytopic" for f in fs)
+                or fs[0].ambient_dim * fs[1].ambient_dim != self.ambient_dim
+                or np.abs(np.kron(fs[0].u, fs[1].u) - self.u).max() > FEASTOL):
+            raise InvalidArgument("factors must be two polytopic spaces with u = u_A (x) u_B")
 
 
 @dataclass(frozen=True)
@@ -262,8 +269,8 @@ def _nonnegative_on_states(space, f):
 
 def enumerate_vertices(space):
     """The vertices of a polytopic space.  An ``ineqs`` space gets them by
-    double description on first use and keeps them, each certified from
-    the rows alone: feasible, with full-rank tight rows."""
+    double description on each call, each certified from the rows alone:
+    feasible, with full-rank tight rows.  The space is not changed."""
     if space.kind != "polytopic":
         raise UnsupportedKind("vertex enumeration needs a polytopic space")
     if space.vertices is not None:
@@ -276,8 +283,14 @@ def enumerate_vertices(space):
         if not _tight_rows_full_rank(space, v):
             raise NumericalFailure(
                 "double description produced a non-extremal point")
-    object.__setattr__(space, "vertices", verts)
     return verts
+
+
+def _with_vertices(space):
+    """The space, or a copy holding the vertices of an ``ineqs`` space."""
+    if space.kind != "polytopic" or space.vertices is not None:
+        return space
+    return replace(space, vertices=enumerate_vertices(space))
 
 
 def contains_state(space, x):
@@ -334,8 +347,9 @@ def is_pure(space, omega):
 
     On an ``ineqs`` space, the rank of the rows tight at omega decides.  On
     a vertex space, omega must be a listed vertex outside the hull of the
-    others; ``lp.hull_weights`` certifies that, often by its centroid-ray
-    Farkas vector with no LP, else by the LP.
+    vertices away from it (every copy of omega is dropped);
+    ``lp.hull_weights`` certifies that, often by its centroid-ray Farkas
+    vector with no LP, else by the LP.
     """
     omega = _check_dim(space, omega, "state")
     if not contains_state(space, omega):
@@ -344,10 +358,9 @@ def is_pure(space, omega):
         if space.ineqs is not None:
             return _tight_rows_full_rank(space, omega)
         verts = space.vertices
-        match = np.where(np.abs(verts - omega).max(axis=1) <= FEASTOL)[0]
-        if match.size == 0:
+        others = verts[np.abs(verts - omega).max(axis=1) > FEASTOL]
+        if others.shape[0] == verts.shape[0]:
             return False
-        others = np.delete(verts, match[0], axis=0)
         if others.shape[0] == 0:
             return True
         return lp.hull_weights(others, omega) is None
@@ -458,31 +471,46 @@ def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
         return False
     if not lmap.is_invertible():
         raise SingularMap("equivalence requires an invertible map")
-    return (_maps_into(space_a, space_b, m, n_samples, seed) and
-            _maps_into(space_b, space_a, np.linalg.inv(m), n_samples, seed))
+    a = _with_vertices(space_a)
+    b = a if space_b is space_a else _with_vertices(space_b)
+    return (_maps_into(a, b, m, n_samples, seed) and
+            _maps_into(b, a, np.linalg.inv(m), n_samples, seed))
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip
 
+def _space_doc(space):
+    doc = {"kind": space.kind if space.factors is None else
+           "min" if space.ineqs is None else "max",
+           "factors": space.factors and [_space_doc(f) for f in space.factors],
+           "u": space.u, "N": space.hilbert_dim, "d": space.ball_dim,
+           "vertices": space.vertices, "ineqs": space.ineqs}
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in doc.items() if value is not None}
+
+
 def space_to_json(space):
-    doc = {"kind": space.kind, "u": space.u.tolist()}
-    if space.kind == "polytopic":
-        doc["vertices"] = enumerate_vertices(space).tolist()
-    elif space.kind == "quantum":
-        doc["N"] = space.hilbert_dim
-    elif space.kind == "ball":
-        doc["d"] = space.ball_dim
-    return json.dumps(doc)
+    """The one JSON format of spaces: ``kind`` ("min" / "max" for a tensor
+    product), ``factors`` (written alike), ``u``, ``N``, ``d``, ``vertices``
+    and ``ineqs``, each only when the space has it.  Nothing is enumerated."""
+    return json.dumps(_space_doc(space))
 
 
-def space_from_json(text):
-    doc = json.loads(text)
+def _space_from_doc(doc):
     kind = doc["kind"]
-    if kind == "polytopic":
-        return make_polytopic(doc["vertices"], doc["u"])
     if kind == "quantum":
         return make_quantum(int(doc["N"]))
     if kind == "ball":
         return make_ball(int(doc["d"]))
-    raise InvalidArgument(f"unknown state-space kind {kind!r}")
+    if kind not in ("polytopic", "min", "max"):
+        raise InvalidArgument(f"unknown state-space kind {kind!r}")
+    return StateSpace(kind="polytopic", ambient_dim=len(doc["u"]), u=doc["u"],
+                      vertices=doc.get("vertices"), ineqs=doc.get("ineqs"),
+                      factors=doc.get("factors") and tuple(
+                          map(_space_from_doc, doc["factors"])))
+
+
+def space_from_json(text):
+    """The space of a document written by ``space_to_json``."""
+    return _space_from_doc(json.loads(text))

@@ -100,6 +100,34 @@ def test_compose(capsys, tmp_path):
     assert len(doc["vertices"]) == 4
 
 
+def test_compose_output_feeds_distinguish_and_compose(capsys, tmp_path):
+    g = spaces.make_gbit()
+    gbit_file = tmp_path / "gbit.json"
+    gbit_file.write_text(spaces.space_to_json(g))
+    code, comp, _ = run_cli(capsys, ["compose", "--a", str(gbit_file),
+                                     "--b", str(gbit_file), "--kind", "max"])
+    assert code == 0 and json.loads(comp)["kind"] == "max"
+    states = [np.kron(g.vertices[0], g.vertices[0]),
+              np.kron(g.vertices[2], g.vertices[2])]
+    states_file = tmp_path / "states.json"
+    states_file.write_text(json.dumps({"states": np.array(states).tolist()}))
+    code, out, _ = run_cli(capsys, ["distinguish", "--space", "-",
+                                    "--states", str(states_file),
+                                    "--format", "json"], stdin=comp)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["distinguishable"] is True and doc["delta_error"] <= 1e-7
+    values = np.array(doc["effects"]) @ np.array(states).T
+    assert np.abs(values - np.eye(2)).max() <= 1e-7
+    # a composite is a factor like any other space
+    code, out, _ = run_cli(capsys, ["compose", "--a", str(gbit_file),
+                                    "--b", "-", "--kind", "max"], stdin=comp)
+    assert code == 0
+    nested = spaces.space_from_json(out)
+    assert nested.ambient_dim == 27 and nested.ineqs.shape == (64, 27)
+    assert nested.factors[1].factors is not None
+
+
 def test_sorkin(capsys, tmp_path):
     exp_file = tmp_path / "exp.json"
     third = [[1 / 3, 0.0]] * 3

@@ -12,8 +12,9 @@ from gptkit.composites import (check_supermultiplicativity,
 from gptkit.errors import (DimensionMismatch, InvalidArgument, NumericalFailure,
                            ScaleLimit, UnsupportedKind)
 from gptkit.spaces import (Effect, Measurement, contains_state, is_effect,
-                           is_pure, make_ball, make_classical, make_gbit,
-                           make_quantum, mat_to_coords)
+                           is_pure, is_reversible_transformation, make_ball,
+                           make_classical, make_gbit, make_quantum,
+                           mat_to_coords)
 
 from .conftest import polygon
 
@@ -287,3 +288,46 @@ def test_is_effect_rows_match_vertex_values(a, b):
         valid = vals.min() >= 0.0 and vals.max() <= 1.0
         assert is_effect(comp, e) == valid
         verdicts.append(valid)
+
+
+# swaps the two gbits of max(gbit, gbit): a symmetry of the composite
+SWAP = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
+
+
+@pytest.mark.parametrize("question", [
+    lambda comp: distinguish.capacity(comp, n_max=2) == 2,
+    lambda comp: distinguish.perfectly_distinguishable(
+        comp, [product_state(v, v) for v in make_gbit().vertices[[0, 2]]]),
+    lambda comp: check_supermultiplicativity(make_gbit(), make_gbit(), comp),
+    # a factor that the subset search covers in full (C(24, 9) subsets of
+    # max(gbit, gbit) would stop it at once)
+    lambda comp: check_supermultiplicativity(
+        max_tensor(make_gbit(), make_classical(2)), make_classical(1)),
+    lambda comp: is_reversible_transformation(comp, SWAP),
+    lambda comp: min_tensor(make_classical(2), comp)],
+    ids=["capacity", "distinguishable", "supermultiplicativity",
+         "supermultiplicativity-factor", "reversible", "min-tensor"])
+def test_one_enumeration_per_call(monkeypatch, question):
+    # enumerate_vertices does not keep its answer, so each public call finds
+    # the vertices once and passes them down
+    calls = []
+    enumerate_rows = geometry.polytope_vertices
+    monkeypatch.setattr(geometry, "polytope_vertices",
+                        lambda ineqs, u: calls.append(1)
+                        or enumerate_rows(ineqs, u))
+    comp = max_tensor(make_gbit(), make_gbit())
+    assert question(comp) is not None
+    assert len(calls) <= 1
+    assert comp.vertices is None
+
+
+def test_one_state_on_nested_max_composite_needs_no_enumeration(monkeypatch):
+    def refuse(ineqs, u):
+        raise AssertionError("vertex enumeration called")
+    monkeypatch.setattr(geometry, "polytope_vertices", refuse)
+    g = make_gbit()
+    comp = max_tensor(g, max_tensor(g, g))
+    pure = product_state(g.vertices[2], product_state(g.vertices[2],
+                                                      g.vertices[2]))
+    witness = distinguish.perfectly_distinguishable(comp, [pure])
+    assert witness is not None and witness.delta_error() == 0.0

@@ -157,6 +157,23 @@ def check_max_tensor_vertices(a, b, count):
     assert np.abs(verts @ comp.u - 1.0).max() <= 1e-9
     interior = np.kron(a.vertices.mean(axis=0), b.vertices.mean(axis=0))
     assert halfspace_vertices(comp.ineqs, comp.u, interior).shape[0] == count
+    # no vertex is listed twice: the double description makes no duplicates
+    gaps = np.abs(verts[:, None] - verts[None]).max(axis=2)
+    assert gaps[~np.eye(count, dtype=bool)].min() > lp.DEDUP_TOL
+
+
+@pytest.mark.parametrize("n, m, count", [
+    (3, 3, 9), (3, 4, 12), (3, 5, 15), (3, 6, 18), (4, 4, 24), (4, 5, 60),
+    (4, 6, 144), (5, 5, 135), (5, 6, 630)])
+def test_polygon_pair_vertices_match_qhull(n, m, count):
+    check_max_tensor_vertices(polygon(n), polygon(m), count)
+
+
+@pytest.mark.parametrize("a, b, count", [
+    ((3, 0.3), (4, 1.1), 12), ((5, 0.7), (5, 2.0), 135),
+    ((3, 0.5), (6, 0.2), 18)])
+def test_turned_polygon_pair_vertices_match_qhull(a, b, count):
+    check_max_tensor_vertices(polygon(*a), polygon(*b), count)
 
 
 def test_turned_square_pentagon_vertices_match_qhull():

@@ -1,7 +1,11 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from gptkit import spaces
+from gptkit import geometry, spaces
+from gptkit.composites import enumerate_vertices, max_tensor, min_tensor
 from gptkit.errors import (DimensionMismatch, InvalidArgument, NotAState,
                            SingularMap)
 from gptkit.spaces import (Effect, LinearMap, Measurement, are_equivalent,
@@ -163,6 +167,93 @@ def test_json_roundtrip():
         assert np.abs(s2.u - s.u).max() == 0.0
         if s.vertices is not None:
             assert np.abs(s2.vertices - s.vertices).max() == 0.0
+
+
+def assert_same_space(got, want):
+    """Every field equal, arrays bitwise, factors field by field."""
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "factors" and b is not None:
+            assert type(a) is tuple and len(a) == len(b)
+            for fa, fb in zip(a, b):
+                assert_same_space(fa, fb)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def _max_gg_with_vertices():
+    comp = max_tensor(make_gbit(), make_gbit())
+    return replace(comp, vertices=enumerate_vertices(comp))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_classical(3), make_gbit, lambda: make_quantum(2),
+    lambda: make_ball(3), lambda: min_tensor(make_gbit(), make_gbit()),
+    lambda: max_tensor(make_gbit(), make_gbit()), _max_gg_with_vertices,
+    lambda: max_tensor(make_gbit(), max_tensor(
+        make_gbit(), max_tensor(make_gbit(), make_gbit())))],
+    ids=["c3", "gbit", "q2", "ball3", "min-gg", "max-gg", "max-gg-vertices",
+         "max-g-g-g-g"])
+def test_json_roundtrip_keeps_every_field(monkeypatch, build):
+    space = build()  # the vertices above are found before the patch
+
+    def refuse(ineqs, u):
+        raise AssertionError("vertex enumeration called")
+    monkeypatch.setattr(geometry, "polytope_vertices", refuse)
+    text = space_to_json(space)
+    back = space_from_json(text)
+    assert_same_space(back, space)
+    assert space_to_json(back) == text
+
+
+def test_json_of_nested_max_composite_lists_rows_only():
+    g = make_gbit()
+    doc = json.loads(space_to_json(max_tensor(g, max_tensor(g, g))))
+    assert list(doc) == ["kind", "factors", "u", "ineqs"]
+    assert doc["kind"] == "max" and len(doc["ineqs"]) == 64
+    assert [f["kind"] for f in doc["factors"]] == ["polytopic", "max"]
+    assert list(doc["factors"][0]) == ["kind", "u", "vertices"]
+
+
+def test_json_unknown_kind_rejected():
+    with pytest.raises(InvalidArgument):
+        space_from_json('{"kind": "simplex", "u": [1.0]}')
+
+
+def test_enumerate_vertices_leaves_space_unchanged():
+    comp = max_tensor(make_gbit(), make_gbit())
+    before = space_to_json(comp)
+    assert enumerate_vertices(comp).shape == (24, 9)
+    assert comp.vertices is None and space_to_json(comp) == before
+
+
+@pytest.mark.parametrize("factors", [
+    (make_gbit(),), (make_gbit(), make_gbit(), make_gbit()),
+    (make_gbit(), make_quantum(2)), ("gbit", "gbit"),
+    (make_gbit(), make_classical(2)), (make_gbit(), make_classical(3))],
+    ids=["one", "three", "quantum", "not-spaces", "dims", "units"])
+def test_factors_validated(factors):
+    # max(gbit, gbit) has ambient dimension 9 and u = (0, 0, 1) (x) (0, 0, 1):
+    # gbit (x) c2 has dimension 6, and c3's unit (1, 1, 1) gives another u
+    comp = max_tensor(make_gbit(), make_gbit())
+    with pytest.raises(InvalidArgument):
+        replace(comp, factors=factors)
+
+
+def test_is_pure_with_a_repeated_vertex():
+    # a vertex listed twice is still extremal: every copy is set aside
+    # before the hull LP, which would otherwise find the other copy
+    g = make_gbit()
+    dup = make_polytopic(np.vstack([g.vertices, g.vertices[:1]]), g.u)
+    assert all(is_pure(dup, v) for v in dup.vertices)
+    assert not is_pure(dup, dup.vertices[:2].mean(axis=0))
+    comp = min_tensor(dup, dup)
+    assert comp.vertices.shape == (25, 9)
+    assert all(is_pure(comp, v) for v in comp.vertices)
+    assert not is_pure(comp, comp.vertices[:2].mean(axis=0))
 
 
 def test_vertex_normalization_checked():
