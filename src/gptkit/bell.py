@@ -5,13 +5,13 @@ of the quantum CHSH value.
 Outcomes are labelled -1/+1; tables are flattened lexicographically in
 (x, y, a, b) with -1 before +1, i.e. index = 8x + 4y + 2a' + b' with
 v' = (v+1)/2, so ``p.reshape(2, 2, 2, 2)`` is the table indexed
-[x, y, a', b'].  Each table functional (row sums, correlators, CHSH and
-its 8 symmetries, no-signalling marginal differences) is a fixed 16 x k
-matrix M built at import, evaluated as one product ``p @ M``.
+[x, y, a', b'].  The table functionals (row sums, correlators, CHSH and
+its 8 symmetries, no-signalling marginal differences) are the columns of
+one fixed 16 x 24 matrix M; a table computes ``p @ M`` once, when built.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,10 +41,10 @@ def _strategy_tables():
 
 
 def _functionals():
-    """Columns over table entries: _ROWSUM[:, 2x + y] sums inputs (x, y),
-    _CORR[:, 2x + y] weighs them by a b, _LIFT signs _CORR's columns by the
-    8 patterns with an odd number of -1, and _NS[:, 2x + a'], _NS[:, 4 + 2y
-    + b'] are Alice's and Bob's marginals at remote input 0 minus 1."""
+    """Columns over table entries: 2x + y sums inputs (x, y), 4 + 2x + y
+    weighs them by a b, 8-15 sign those correlators by the 8 patterns with
+    an odd number of -1 (8 is CHSH), and 16 + 2x + a', 20 + 2y + b' are
+    Alice's and Bob's marginals at remote input 0 minus 1."""
     x, y, a, b = (v.ravel() for v in np.indices((2, 2, 2, 2)))
     eye = np.eye(4)
     rowsum = eye[2 * x + y]
@@ -52,35 +52,47 @@ def _functionals():
     odd = np.array([s for s in np.ndindex(2, 2, 2, 2) if sum(s) % 2])
     ns = np.hstack([eye[2 * x + a] * (1 - 2 * y)[:, None],
                     eye[2 * y + b] * (1 - 2 * x)[:, None]])
-    return (rowsum, corr, corr @ np.array([1.0, 1.0, 1.0, -1.0]),
-            corr @ (1 - 2 * odd.T), ns)
+    return np.hstack([rowsum, corr, corr @ (1 - 2 * odd.T), ns])
 
 
 _DET = _strategy_tables()
-_ROWSUM, _CORR, _CHSH, _LIFT, _NS = _functionals()
-for _m in (_DET, _ROWSUM, _CORR, _CHSH, _LIFT, _NS):
+_ALL = _functionals()
+for _m in (_DET, _ALL):
     _m.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class ProbTable222:
-    p: np.ndarray  # 16 entries in canonical order
+    p: np.ndarray  # 16 entries in canonical order, a read-only copy
+    _values: tuple = field(init=False, repr=False, compare=False)  # p @ _ALL
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)
         if p.shape != (16,):
             raise InvalidTable("need 16 entries")
+        p.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        # sufficient for the checks below.  No inf passes min and max over the
+        # floats; a NaN that does makes every value NaN and fails the sums
+        entries = p.tolist()
+        if min(entries) >= -1e-12 and max(entries) <= 1.0 + 2 * FEASTOL:
+            object.__setattr__(self, "_values", tuple((p @ _ALL).tolist()))
+            if all(abs(s - 1.0) <= FEASTOL for s in self._values[:4]):
+                return
         if not np.isfinite(p).all():
             raise InvalidTable("table has a non-finite entry")
         if p.min() < -1e-12:
             raise InvalidTable("negative probability")
-        sums = p @ _ROWSUM
+        sums = p @ _ALL[:, :4]
         off = np.abs(sums - 1.0) > FEASTOL
         if off.any():
             k = off.argmax()
             raise InvalidTable(
                 f"probabilities for inputs ({k // 2},{k % 2}) sum to {sums[k]}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_values", tuple((p @ _ALL).tolist()))
+
+    def __reduce__(self):  # copies and unpickled tables are built anew
+        return ProbTable222, (self.p,)
 
     def prob(self, a, b, x, y):
         a, b = _labels((a, b), OUTCOMES, "outcomes")
@@ -107,31 +119,30 @@ def deterministic_tables():
 
 def is_nonsignalling(table):
     """Marginals independent of the remote input, within tolerance."""
-    return not (np.abs(table.p @ _NS) > FEASTOL).any()
+    return max(map(abs, table._values[16:])) <= FEASTOL
 
 
 def expectation(table, x, y):
     """Correlator E_{x,y} = <a b> for the given input pair."""
     x, y = _labels((x, y), INPUTS, "inputs")
-    return float((table.p @ _CORR).reshape(2, 2)[x, y])
+    return table._values[4 + 2 * x + y]
 
 
 def chsh(table):
     """E_00 + E_01 + E_10 - E_11."""
-    return float(table.p @ _CHSH)
+    return table._values[8]
 
 
 def lifted_chsh_max(table):
     """Max over the 8 CHSH symmetries (sign patterns with odd parity)."""
-    return float((table.p @ _LIFT).max())
+    return max(table._values[8:16])
 
 
 def classify_ns_vertex(table, tol=DEDUP_TOL):
     """'deterministic', 'pr', or 'other' for an NS-polytope vertex table."""
-    if (np.abs(_DET - table.p).max(axis=1) <= tol).any():
-        return "deterministic"
-    if (np.abs(_PR - table.p).max(axis=1) <= tol).any():
-        return "pr"
+    for kind, vertices in (("deterministic", _DET), ("pr", _PR)):
+        if (np.abs(vertices - table.p).max(axis=1) <= tol).any():
+            return kind
     return "other"
 
 
@@ -153,8 +164,7 @@ def classical_membership(table):
 def mix_deterministic(weights):
     """Classical table from a weight vector over the deterministic strategies."""
     weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
-    return ProbTable222(weights @ _DET)
+    return ProbTable222(weights / weights.sum() @ _DET)
 
 
 def pr_box(alpha=0, beta=0, gamma=0):
@@ -254,11 +264,8 @@ def _sign_observable(m):
 
 def chsh_operator(setup):
     """A0(x)B0 + A0(x)B1 + A1(x)B0 - A1(x)B1 from the setup's POVMs."""
-    def obs(pair):
-        return pair[1] - pair[0]
-
-    a0, a1 = (obs(p) for p in setup.alice_effects)
-    b0, b1 = (obs(p) for p in setup.bob_effects)
+    a0, a1 = (ep - em for em, ep in setup.alice_effects)
+    b0, b1 = (ep - em for em, ep in setup.bob_effects)
     return (np.kron(a0, b0) + np.kron(a0, b1)
             + np.kron(a1, b0) - np.kron(a1, b1))
 
@@ -339,4 +346,4 @@ def table_to_json(table):
 
 
 def table_from_json(text):
-    return ProbTable222(np.asarray(json.loads(text)["p"], dtype=float))
+    return ProbTable222(json.loads(text)["p"])

@@ -512,5 +512,12 @@ def _space_from_doc(doc):
 
 
 def space_from_json(text):
-    """The space of a document written by ``space_to_json``."""
-    return _space_from_doc(json.loads(text))
+    """The space of a document written by ``space_to_json``.  A field that
+    this space would write differently is refused."""
+    doc = json.loads(text)
+    space = _space_from_doc(doc)
+    written = _space_doc(space)
+    for key in ("kind", "factors", "u", "N", "d", "vertices", "ineqs"):
+        if key in doc and doc[key] != written.get(key):
+            raise InvalidArgument(f"{key!r} contradicts the document's space")
+    return space

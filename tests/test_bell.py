@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -137,9 +140,27 @@ def _evaluated(t):
     return e, bell.chsh(t), bell.lifted_chsh_max(t)
 
 
+def _separate_functionals():
+    """One 16 x k matrix per functional, as tables were evaluated before
+    they shared one product: row sums, correlators, CHSH, its 8 lifts and
+    the no-signalling marginal differences."""
+    x, y, a, b = (v.ravel() for v in np.indices((2, 2, 2, 2)))
+    eye = np.eye(4)
+    rowsum = eye[2 * x + y]
+    corr = rowsum * (1 - 2 * (a ^ b))[:, None]
+    odd = np.array([s for s in np.ndindex(2, 2, 2, 2) if sum(s) % 2])
+    ns = np.hstack([eye[2 * x + a] * (1 - 2 * y)[:, None],
+                    eye[2 * y + b] * (1 - 2 * x)[:, None]])
+    return (rowsum, corr, corr @ np.array([1.0, 1.0, 1.0, -1.0]),
+            corr @ (1 - 2 * odd.T), ns)
+
+
+ROWSUM, CORR, CHSH, LIFT, NS = _separate_functionals()
+
+
 def test_functionals_match_reference(rng):
     tables = []
-    for _ in range(600):
+    for _ in range(1500):
         tables.append(bell.mix_deterministic(rng.dirichlet(np.ones(16))))
         # one distribution per input pair: signalling in general
         tables.append(bell.ProbTable222(np.concatenate(
@@ -163,6 +184,13 @@ def test_functionals_match_reference(rng):
         assert abs(got_lifted - lifted) <= 1e-14
         assert bell.is_nonsignalling(t) == (ns_error <= lp.FEASTOL)
         verdicts.add(bell.is_nonsignalling(t))
+        # and against one product per functional
+        assert np.abs(np.array(got_e).ravel() - t.p @ CORR).max() <= 1e-14
+        assert abs(got_value - t.p @ CHSH) <= 1e-14
+        assert abs(got_lifted - (t.p @ LIFT).max()) <= 1e-14
+        assert bell.is_nonsignalling(t) == (not (np.abs(t.p @ NS) > lp.FEASTOL).any())
+        assert type(got_value) is type(got_lifted) is float
+        assert type(bell.is_nonsignalling(t)) is bool
     assert verdicts == {True, False}
 
 
@@ -194,6 +222,116 @@ def test_table_rejection_messages():
         with pytest.raises(InvalidTable,
                            match=rf"inputs \({x},{y}\) sum to 1\.5$"):
             bell.ProbTable222(p)
+
+
+def _ordered_checks(p):
+    """The table checks one at a time, in order, as a reference: the
+    message of the first that fails, or None for a valid table."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (16,):
+        return "need 16 entries"
+    if not np.isfinite(p).all():
+        return "table has a non-finite entry"
+    if p.min() < -1e-12:
+        return "negative probability"
+    sums = p @ ROWSUM
+    off = np.abs(sums - 1.0) > lp.FEASTOL
+    if off.any():
+        k = off.argmax()
+        return f"probabilities for inputs ({k // 2},{k % 2}) sum to {sums[k]}"
+    return None
+
+
+def _edge_tables(rng):
+    """Tables at each edge of the checks, the other rows drawn at random."""
+    def table(pos=None, row=None, values=()):
+        p = np.concatenate([rng.dirichlet(np.ones(4)) for _ in range(4)])
+        if row is not None:
+            p[4 * row:4 * row + 4] = values
+        if pos is not None:
+            p[pos] = values
+        return p
+
+    def around(v):
+        return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+    tol = lp.FEASTOL
+    yield np.zeros(0)
+    yield np.full(15, 0.25)
+    for pos in range(16):
+        for bad in (np.inf, -np.inf, np.nan):
+            yield table(pos, values=bad)
+        row, col = divmod(pos, 4)
+        for v in around(-1e-12):
+            # the row's mass moved so the sum stays 1
+            yield table(row=row, values=np.roll([v, 1.0 - v, 0.0, 0.0], col))
+        for top in (1.0 + 2 * tol, 1.0 + 2 * tol - 1e-15, 1.0 + 2 * tol + 1e-15):
+            for v in around(top):
+                yield table(row=row, values=np.roll([v, 1.0 - v, 0.0, 0.0], col))
+                yield table(row=row, values=np.roll([v, 0.0, 0.0, 0.0], col))
+    for row in range(4):
+        for edge in (1.0 - tol, 1.0 + tol):
+            for eps in (0.0, 1e-15, -1e-15, 1e-13, -1e-13):
+                for s in around(edge + eps):
+                    yield table(row=row, values=(s, 0.0, 0.0, 0.0))
+                    yield table(row=row, values=np.full(4, s / 4))
+                    yield table(row=row, values=(s - 0.75, 0.25, 0.25, 0.25))
+
+
+def _acceptance_mismatches(rng):
+    """Tables on which ProbTable222 and _ordered_checks disagree, with
+    both answers; also the number of tables tried and of those accepted."""
+    mismatches, tried, accepted = [], 0, 0
+    for p in _edge_tables(rng):
+        want = _ordered_checks(p)
+        try:
+            bell.ProbTable222(p)
+            got = None
+        except InvalidTable as exc:
+            got = str(exc)
+        if got != want:
+            mismatches.append((p, got, want))
+        tried += 1
+        accepted += want is None
+    return mismatches, tried, accepted
+
+
+def test_acceptance_matches_ordered_checks(rng):
+    mismatches, tried, accepted = _acceptance_mismatches(rng)
+    assert mismatches == []
+    assert 0 < accepted < tried
+
+
+def test_acceptance_test_catches_a_zeroed_row_sum(rng, monkeypatch):
+    broken = bell._ALL.copy()
+    broken[:, 0] = 0.0
+    monkeypatch.setattr(bell, "_ALL", broken)
+    assert _acceptance_mismatches(rng)[0]
+
+
+def test_table_is_a_read_only_copy():
+    q = np.full(16, 0.25)
+    t = bell.ProbTable222(q)
+    assert not t.p.flags.writeable
+    with pytest.raises(ValueError):
+        t.p[0] = 1.0
+    assert q.flags.writeable and not np.shares_memory(q, t.p)
+    q[:4] = (1.0, 0.0, 0.0, 0.0)  # the caller's array changes, the table not
+    assert bell.chsh(t) == 0.0 and t.prob(-1, -1, 0, 0) == 0.25
+    # copies are read-only too, so their stored functionals cannot go stale
+    t = bell.pr_box()
+    for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert not u.p.flags.writeable and np.array_equal(u.p, t.p)
+        assert bell.chsh(u) == 4.0 and bell.is_nonsignalling(u)
+
+
+def test_replace_revalidates():
+    t = bell.pr_box()
+    u = dataclasses.replace(t, p=bell.pr_box(0, 0, 1).p)
+    assert (bell.chsh(t), bell.chsh(u)) == (4.0, -4.0)
+    assert bell.lifted_chsh_max(u) == 4.0 and bell.is_nonsignalling(u)
+    with pytest.raises(InvalidTable, match="negative probability"):
+        dataclasses.replace(t, p=np.full(16, -0.25))
 
 
 def test_signalling_table_detected():

@@ -223,6 +223,26 @@ def test_json_unknown_kind_rejected():
         space_from_json('{"kind": "simplex", "u": [1.0]}')
 
 
+def _nested_min_with_rows():
+    g = make_gbit()
+    doc = json.loads(space_to_json(max_tensor(g, max_tensor(g, g))))
+    doc["factors"][1]["kind"] = "min"  # but it lists ineqs
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "quantum", "u": [5.0], "N": 2},
+    {"kind": "ball", "u": [0, 1], "d": 3},
+    {"kind": "max", "u": [0.0, 0.0, 1.0], "vertices": make_gbit().vertices.tolist()},
+    {"kind": "quantum", "N": 2, "factors": [{"kind": "quantum", "N": 2}] * 2},
+    _nested_min_with_rows()],
+    ids=["quantum-u", "ball-u", "max-without-factors", "quantum-with-factors",
+         "nested-min-with-rows"])
+def test_json_contradicting_itself_rejected(doc):
+    with pytest.raises(InvalidArgument):
+        space_from_json(json.dumps(doc))
+
+
 def test_enumerate_vertices_leaves_space_unchanged():
     comp = max_tensor(make_gbit(), make_gbit())
     before = space_to_json(comp)
