@@ -11,6 +11,7 @@ one fixed 16 x 24 matrix M; a table computes ``p @ M`` once, when built.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -72,27 +73,17 @@ class ProbTable222:
             raise InvalidTable("need 16 entries")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
-        # sufficient for the checks below.  No inf passes min and max over the
-        # floats; a NaN that does makes every value NaN and fails the sums
         entries = p.tolist()
-        if min(entries) >= -1e-12 and max(entries) <= 1.0 + 2 * FEASTOL:
-            object.__setattr__(self, "_values", tuple((p @ _ALL).tolist()))
-            if all(abs(s - 1.0) <= FEASTOL for s in self._values[:4]):
-                return
-        if not np.isfinite(p).all():
+        if not all(map(math.isfinite, entries)):
             raise InvalidTable("table has a non-finite entry")
-        if p.min() < -1e-12:
+        if min(entries) < -1e-12:
             raise InvalidTable("negative probability")
-        sums = p @ _ALL[:, :4]
-        off = np.abs(sums - 1.0) > FEASTOL
-        if off.any():
-            k = off.argmax()
-            raise InvalidTable(
-                f"probabilities for inputs ({k // 2},{k % 2}) sum to {sums[k]}")
-        object.__setattr__(self, "_values", tuple((p @ _ALL).tolist()))
-
-    def __reduce__(self):  # copies and unpickled tables are built anew
-        return ProbTable222, (self.p,)
+        values = tuple((p @ _ALL).tolist())
+        for k, s in enumerate(values[:4]):
+            if abs(s - 1.0) > FEASTOL:
+                raise InvalidTable(
+                    f"probabilities for inputs ({k // 2},{k % 2}) sum to {s}")
+        object.__setattr__(self, "_values", values)
 
     def prob(self, a, b, x, y):
         a, b = _labels((a, b), OUTCOMES, "outcomes")
@@ -140,9 +131,10 @@ def lifted_chsh_max(table):
 
 def classify_ns_vertex(table, tol=DEDUP_TOL):
     """'deterministic', 'pr', or 'other' for an NS-polytope vertex table."""
-    for kind, vertices in (("deterministic", _DET), ("pr", _PR)):
-        if (np.abs(vertices - table.p).max(axis=1) <= tol).any():
-            return kind
+    if (np.abs(_DET - table.p).max(axis=1) <= tol).any():
+        return "deterministic"
+    if (np.abs(_PR - table.p).max(axis=1) <= tol).any():
+        return "pr"
     return "other"
 
 
@@ -164,7 +156,8 @@ def classical_membership(table):
 def mix_deterministic(weights):
     """Classical table from a weight vector over the deterministic strategies."""
     weights = np.asarray(weights, dtype=float)
-    return ProbTable222(weights / weights.sum() @ _DET)
+    weights = weights / weights.sum()
+    return ProbTable222(weights @ _DET)
 
 
 def pr_box(alpha=0, beta=0, gamma=0):
@@ -264,8 +257,11 @@ def _sign_observable(m):
 
 def chsh_operator(setup):
     """A0(x)B0 + A0(x)B1 + A1(x)B0 - A1(x)B1 from the setup's POVMs."""
-    a0, a1 = (ep - em for em, ep in setup.alice_effects)
-    b0, b1 = (ep - em for em, ep in setup.bob_effects)
+    def obs(pair):
+        return pair[1] - pair[0]
+
+    a0, a1 = (obs(p) for p in setup.alice_effects)
+    b0, b1 = (obs(p) for p in setup.bob_effects)
     return (np.kron(a0, b0) + np.kron(a0, b1)
             + np.kron(a1, b0) - np.kron(a1, b1))
 
