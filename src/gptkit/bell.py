@@ -62,10 +62,10 @@ for _m in (_DET, _ALL):
     _m.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbTable222:
     p: np.ndarray  # 16 entries in canonical order, a read-only copy
-    _values: tuple = field(init=False, repr=False, compare=False)  # p @ _ALL
+    _values: tuple = field(init=False, repr=False)  # p @ _ALL
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
@@ -91,7 +91,7 @@ class ProbTable222:
         return float(self.p.reshape(2, 2, 2, 2)[x, y, (a + 1) // 2, (b + 1) // 2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiddenVariableModel:
     weights: np.ndarray  # over the 16 deterministic tables
 
@@ -179,7 +179,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitBellSetup:
     """Two-qubit state with binary POVMs per input on each side.
 

@@ -187,8 +187,7 @@ def cmd_bloch(args):
                "orthogonality_error": float(
                    np.abs(r.T @ r - np.eye(3)).max())}
     elif args.op == "average":
-        samples = bloch.haar_so3(rng, args.samples)
-        avg = bloch.group_average_state(samples, np.array([0.0, 0.0, 1.0]))
+        avg = bloch.haar_mean(rng, args.samples) @ np.array([0.0, 0.0, 1.0])
         out = {"op": "average", "samples": args.samples,
                "mean_norm": float(np.linalg.norm(avg))}
     else:

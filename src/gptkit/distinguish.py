@@ -22,7 +22,7 @@ from .spaces import (Effect, Measurement, _with_vertices, coords_to_mat,
 MAX_SUBSETS = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistinguishabilityWitness:
     measurement: Measurement
     states: np.ndarray

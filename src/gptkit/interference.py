@@ -20,7 +20,7 @@ from .lp import FEASTOL
 SUBSETS_3 = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlitExperiment:
     """Which-slit state rho, detector effect q, for m = 2 or 3 slits.
 
@@ -91,7 +91,7 @@ def sorkin_i3(exp):
             + p[(1,)] + p[(2,)] + p[(3,)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockingMap:
     """Completely positive trace-nonincreasing map via Kraus operators."""
 

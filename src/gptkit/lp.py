@@ -55,7 +55,7 @@ _PIVTOL = 1e-10
 MAX_PIVOTS = 10 ** 6
 
 
-@dataclass
+@dataclass(eq=False)
 class LpProblem:
     """Find x >= 0 with A_eq x = b_eq and A_ub x >= b_ub.
 
@@ -90,7 +90,7 @@ class LpProblem:
                 setattr(self, "b_" + name, b)
 
 
-@dataclass
+@dataclass(eq=False)
 class LpResult:
     status: str  # "optimal" (feasible, x given) | "infeasible"
     x: np.ndarray | None = None

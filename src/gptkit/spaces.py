@@ -71,9 +71,10 @@ def coords_to_mat(c):
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# domain types; each holds ndarrays, so eq=False makes it compare and hash
+# by identity (a generated __eq__ would raise on the array fields)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     kind: str                      # "polytopic" | "quantum" | "ball"
     ambient_dim: int
@@ -130,7 +131,7 @@ class StateSpace:
             raise InvalidArgument("factors must be two polytopic spaces with u = u_A (x) u_B")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Effect:
     coeffs: np.ndarray
 
@@ -143,7 +144,7 @@ class Effect:
         return float(self.coeffs @ np.asarray(omega, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     effects: tuple
 
@@ -164,7 +165,7 @@ class Measurement:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap:
     matrix: np.ndarray
 

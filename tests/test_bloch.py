@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,35 @@ def test_haar_so3_is_quaternion_formula():
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
         assert np.array_equal(r, want)
     assert bloch.haar_so3(np.random.default_rng(5), 0).shape == (0, 3, 3)
+    with pytest.raises(InvalidArgument):
+        bloch.haar_so3(np.random.default_rng(5), -1)
+
+
+@pytest.mark.parametrize("n", [1, bloch.HAAR_BLOCK - 1, bloch.HAAR_BLOCK,
+                               bloch.HAAR_BLOCK + 1, 3 * bloch.HAAR_BLOCK + 5])
+def test_haar_mean_is_mean_of_samples(n):
+    rng_blocks, rng_whole = np.random.default_rng(n), np.random.default_rng(n)
+    mean = bloch.haar_mean(rng_blocks, n)
+    want = bloch.haar_so3(rng_whole, n).mean(axis=0)
+    assert np.abs(mean - want).max() <= 1e-15
+    # the blocks consumed exactly the normals of the whole draw
+    assert rng_blocks.normal() == rng_whole.normal()
+
+
+def test_haar_mean_memory_does_not_grow():
+    tracemalloc.start()
+    try:
+        bloch.haar_mean(np.random.default_rng(0), 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_haar_mean_needs_a_sample():
+    for n in (0, -5):
+        with pytest.raises(TooFewSamples):
+            bloch.haar_mean(np.random.default_rng(0), n)
 
 
 def test_group_average_converges():
@@ -119,6 +150,18 @@ def test_invariant_inner_product():
     assert np.abs(g - np.eye(3)).max() < 0.05
     with pytest.raises(TooFewSamples):
         bloch.invariant_inner_product(samples[:5])
+
+
+def test_invariant_inner_product_matches_per_sample_products():
+    for seed in range(4):
+        samples = bloch.haar_so3(np.random.default_rng(seed), 500 + 3000 * seed)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3))
+        g0 = a @ a.T + 3 * np.eye(3)
+        g = np.mean(np.swapaxes(samples, 1, 2) @ g0 @ samples, axis=0)
+        want = 3.0 / np.trace(g) * g
+        got = bloch.invariant_inner_product(samples, seed=seed)
+        assert np.abs(got - want).max() < 1e-13
 
 
 def test_strict_convexity():

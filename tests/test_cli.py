@@ -154,6 +154,41 @@ def test_bloch_ops(capsys):
     assert json.loads(out)["mean_norm"] < 0.02
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_bloch_average_needs_a_sample(capsys, n):
+    code, out, err = run_cli(capsys, ["bloch", "--op", "average",
+                                      "--samples", n])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "invalid_input",
+                               "message": "need at least one sample"}
+
+
+# Starts the command from a small interpreter and prints its peak RSS in kB:
+# a child's ru_maxrss also counts the process it was forked from.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_bloch_average_memory_does_not_grow_with_samples():
+    src = str(Path(gptkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    res = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "gptkit.cli",
+         "bloch", "--op", "average", "--samples", "2000000"],
+        capture_output=True, text=True, env=env, check=True)
+    code, maxrss_kb = map(int, res.stdout.split())
+    assert code == 0
+    # holding all 2e6 rotations at once peaks near 260 MB
+    assert maxrss_kb < 100 * 1024
+
+
 def test_nspolytope(capsys):
     code, out, _ = run_cli(capsys, ["nspolytope"])
     assert code == 0

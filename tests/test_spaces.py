@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gptkit import geometry, spaces
+from gptkit import bell, geometry, spaces
 from gptkit.composites import enumerate_vertices, max_tensor, min_tensor
 from gptkit.errors import (DimensionMismatch, InvalidArgument, NotAState,
                            SingularMap)
@@ -456,3 +456,16 @@ def test_translated_ball_map_closed_form(rng):
         m[1:, 1:] *= s
         m[1:, 0] = t
         assert is_transformation(make_ball(d), m) == (margin < 0)
+
+
+def test_equality_is_identity_and_objects_hash():
+    g = spaces.make_gbit()
+    assert g == g and g != spaces.make_gbit()
+    assert len({g, g, spaces.make_gbit(), spaces.make_quantum(2)}) == 3
+    pr = bell.pr_box()
+    assert pr == pr and pr != bell.pr_box()
+    assert len({pr, bell.pr_box()}) == 2
+    e = Effect(g.u)
+    m = Measurement((e,))
+    t = LinearMap(np.eye(3))
+    assert len({e, m, t}) == 3 and e == e and m != Measurement((e,))
