@@ -2,24 +2,32 @@
 
 Every LP in the package is a feasibility question over x >= 0: is there an
 x >= 0 with A_eq x = b_eq and A_ub x >= b_ub?  ``solve`` answers it with a
-dense tableau and Bland's rule (lowest index) for both the entering and the
-leaving variable, so every answer is fully deterministic and cycling is
-impossible.  There is no objective and no phase 2.  Problem sizes around
-here never exceed a few hundred variables.
+dense tableau.  The entering column is the one with the most negative
+reduced cost (Dantzig's rule); after a run of ``DEGENERATE_RUN`` degenerate
+pivots Bland's lowest index takes over until the next nondegenerate pivot.
+The leaving row is always Bland's, the lowest basis index among the tied
+rows.  Every answer is fully deterministic and cycling is impossible.
+There is no objective and no phase 2.  Problem sizes around here never
+exceed a few hundred variables.
 
 The one standard form is A z = b, z >= 0: the rows of ``a_eq``, then the
 rows of ``a_ub`` with one surplus column each, all flipped so that b >= 0.
-A membership LP over k vertices in dimension K is thus a (K + 1) x k
-tableau.  Below [A | b] sits the phase-1 reduced-cost row, and every pivot
-is one rank-1 update of the whole tableau, that row included.  Phase 1
-starts from one artificial per row in the basis.  Artificial columns are
-not stored: an artificial that leaves the basis never re-enters, and phase
-1 still ends at zero exactly when the system is feasible.
+A row of ``a_ub`` with b <= 0 is negated so that its surplus column has
++1, and that surplus starts in the basis (the slack start); every other
+row starts from an artificial.  A membership LP over k vertices in
+dimension K is thus a (K + 1) x k tableau.  Below [A | b] sits the phase-1
+reduced-cost row, the negated sum of the rows that carry an artificial,
+and every pivot is one rank-1 update of the whole tableau, that row
+included.  Artificial columns are not stored: an artificial that leaves
+the basis never re-enters, and phase 1 still ends at zero exactly when the
+system is feasible.  The distinguishability witness LP has b <= 0 on every
+row of ``a_ub``, so only its equalities need artificials.
 
 Infeasible verdicts are certified: phase 1 ends with a Farkas vector
 y = c_B B^{-1} with y^T A <= 0 and y^T b > 0 for the standard-form system.
 y is solved for from the basis columns of the original [A | I], not read
-off the tableau, and re-checked before the verdict is returned.
+off the tableau (a basic surplus is a column of A), and re-checked before
+the verdict is returned.
 
 ``hull_weights`` (is x a convex combination of given points?) has two
 kinds of certificate for "no".  Before it poses the LP it tries one Farkas
@@ -53,6 +61,14 @@ DEDUP_TOL = 1e-8
 _PIVTOL = 1e-10
 
 MAX_PIVOTS = 10 ** 6
+# Degenerate pivots in a row after which Bland's lowest index enters instead
+# of the most negative reduced cost.  Pivot totals at runs of 1 / 8 / 16 /
+# 32 / 50, against Bland's rule alone from all artificials: 3892 / 3271 /
+# 3246 / 3246 / 3246 (8172) on all perfbench lp_decisions operations of
+# seeds 1-5, 4561 / 2957 / 2267 / 2105 / 2107 (18,498) on
+# capacity(max_tensor(gbit, gbit), n_max=4), and 4761 / 4611 / 4611 / 4611 /
+# 4611 (13,695) on degenerate_problem seeds 0-2999 in tests/test_oracles.py.
+DEGENERATE_RUN = 32
 
 
 @dataclass(eq=False)
@@ -97,6 +113,8 @@ class LpResult:
     # Farkas vector y (y.A <= 0, y.b > 0) for the standard-form rows, present
     # iff infeasible.  Rows: the equalities, then the rows of a_ub.
     certificate: np.ndarray | None = field(default=None, repr=False)
+    # simplex pivots phase 1 took to reach the verdict
+    pivots: int = 0
 
 
 def _pivot(tab, basis, r, j):
@@ -110,35 +128,52 @@ def _pivot(tab, basis, r, j):
 
 def _phase1(tab, basis):
     """Minimize the sum of artificials, whose reduced costs are the last row
-    of ``tab``, by Bland's rule; ``tab`` and ``basis`` are updated in place.
+    of ``tab``; ``tab`` and ``basis`` are updated in place.  Returns the
+    number of pivots.
+
+    The most negative reduced cost enters, the lowest index on ties; after
+    ``DEGENERATE_RUN`` degenerate pivots in a row (leaving rhs <= _PIVTOL)
+    the lowest index with a negative reduced cost enters instead, until the
+    next nondegenerate pivot.  The lowest basis index among the tied rows
+    leaves.  This is finite: the artificial sum never rises and falls on
+    every nondegenerate pivot, so no basis recurs across one, and a
+    degenerate stretch ends after at most ``DEGENERATE_RUN`` pivots plus
+    a run under Bland's rule, which cannot cycle.
 
     Stops when no reduced cost is negative or an entering column has no
     pivot row; the artificial sum then decides feasibility.
     """
     m = tab.shape[0] - 1
     reduced = tab[m, :-1]
-    for _ in range(MAX_PIVOTS):
-        j = (reduced < -_PIVTOL).argmax()  # Bland: lowest index enters
+    degenerate = 0
+    for pivots in range(MAX_PIVOTS):
+        if degenerate < DEGENERATE_RUN:
+            j = reduced.argmin()  # Dantzig: most negative enters
+        else:
+            j = (reduced < -_PIVTOL).argmax()  # Bland: lowest index enters
         if reduced[j] >= -_PIVTOL:
-            return
+            return pivots
         col = tab[:m, j]
         rows = (col > _PIVTOL).nonzero()[0]
         if rows.size == 0:
-            return
+            return pivots
         ratios = tab[rows, -1] / col[rows]
         tied = rows[ratios <= ratios.min() + _PIVTOL]
         r = tied[basis[tied].argmin()]  # Bland: lowest basis index leaves
+        degenerate = degenerate + 1 if tab[r, -1] <= _PIVTOL else 0
         _pivot(tab, basis, r, j)
     raise NumericalFailure("simplex iteration cap exceeded")
 
 
 def _standard_form(prob):
-    """Phase-1 tableau of A z = b, z >= 0.
+    """Phase-1 tableau of A z = b, z >= 0, and its starting basis.
 
     The rows are those of ``a_eq``, then those of ``a_ub`` with one surplus
-    column each; rows with b < 0 are negated (``flip``).  Returns
-    (tab, flip), where ``tab`` is [A | b] with the phase-1 reduced-cost row
-    of the all-artificial basis below it.
+    column each.  Rows of ``a_eq`` with b < 0 and rows of ``a_ub`` with
+    b <= 0 are negated (``flip``); the surplus of such an ``a_ub`` row then
+    has +1 and starts in the basis, and every other row starts from an
+    artificial.  Returns (tab, basis, flip), where ``tab`` is [A | b] with
+    the phase-1 reduced-cost row of that basis below it.
     """
     n = prob.n_vars
     m_eq = 0 if prob.a_eq is None else prob.a_eq.shape[0]
@@ -153,10 +188,17 @@ def _standard_form(prob):
         tab[m_eq:m, -1] = prob.b_ub
         tab[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = -1.0
 
+    # the a_ub rows with b <= 0 start from their surplus, column
+    # n + row - m_eq; every other row from an artificial, n + m_ub + row
+    slack = m_eq + np.flatnonzero(tab[m_eq:m, -1] <= 0)
+    basis = np.arange(n + m_ub, n + m_ub + m)
+    basis[slack] = n - m_eq + slack
     flip = tab[:m, -1] < 0
+    flip[slack] = True
     tab[:m][flip] *= -1.0
-    tab[m] = -tab[:m].sum(axis=0)  # phase 1: minimise the sum of artificials
-    return tab, flip
+    # phase 1: minimise the sum of the artificials in the basis
+    tab[m] = -tab[:m][basis >= n + m_ub].sum(axis=0)
+    return tab, basis, flip
 
 
 def _refutes(y, a, b):
@@ -169,12 +211,11 @@ def _refutes(y, a, b):
 def solve(prob: LpProblem) -> LpResult:
     """A feasible x meeting every row and x >= 0 within FEASTOL, or a
     validated Farkas certificate of infeasibility."""
-    tab, flip = _standard_form(prob)
+    tab, basis, flip = _standard_form(prob)
     m, ncols = tab.shape[0] - 1, tab.shape[1] - 1
-    basis = np.arange(ncols, ncols + m)  # artificial i has index ncols + i
 
     a, b = tab[:m, :-1].copy(), tab[:m, -1].copy()  # for the Farkas vector
-    _phase1(tab, basis)
+    pivots = _phase1(tab, basis)
     art = basis >= ncols
     if tab[:m, -1][art].sum() > FEASTOL:
         # Farkas certificate from the simplex multipliers y = c1_B B^{-1},
@@ -189,13 +230,13 @@ def solve(prob: LpProblem) -> LpResult:
         if not _refutes(y, a, b):
             raise NumericalFailure("infeasibility certificate failed validation")
         y[flip] *= -1.0
-        return LpResult(status="infeasible", certificate=y)
+        return LpResult(status="infeasible", certificate=y, pivots=pivots)
 
     z = np.zeros(ncols)
     z[basis[~art]] = tab[:m, -1][~art]
     x = z[:prob.n_vars]
     _check_feasible(prob, x)
-    return LpResult(status="optimal", x=x)
+    return LpResult(status="optimal", x=x, pivots=pivots)
 
 
 def _check_feasible(prob, x):

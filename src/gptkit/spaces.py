@@ -25,7 +25,7 @@ states ("no" is certain, "yes" sampled).  A space never changes once built.
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -419,18 +419,18 @@ def _ball_image_fits(t, mm):
             hi = lam
 
 
-def _maps_into(a, b, m, n_samples, seed):
+def _maps_into(a, b, m, pure_states):
     """Does the matrix m send every state of a to a state of b?
 
     Normalization is exact; the rest is vertex images, an exact ball
-    image test (ball -> ball) or sampled pure states.
+    image test (ball -> ball) or sampled pure states, which
+    ``pure_states(a)`` gives only when they are needed.
     """
     if a.kind != "polytopic" and np.abs(b.u @ m - a.u).max() > FEASTOL:
         return False
     if a.kind == b.kind == "ball":
         return _ball_image_fits(m[1:, 0], m[1:, 1:])
-    return all(contains_state(b, m @ s)
-               for s in _sampled_pure_states(a, n_samples, seed))
+    return all(contains_state(b, m @ s) for s in pure_states(a))
 
 
 def is_transformation(space, t, n_samples=1000, seed=0):
@@ -444,7 +444,8 @@ def is_transformation(space, t, n_samples=1000, seed=0):
         raise DimensionMismatch("transformation must be square of ambient size")
     if not np.isfinite(m).all():
         raise InvalidArgument("transformation has a non-finite entry")
-    return _maps_into(space, space, m, n_samples, seed)
+    return _maps_into(space, space, m,
+                      lambda a: _sampled_pure_states(a, n_samples, seed))
 
 
 def is_reversible_transformation(space, t, n_samples=1000, seed=0):
@@ -474,8 +475,12 @@ def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
         raise SingularMap("equivalence requires an invertible map")
     a = _with_vertices(space_a)
     b = a if space_b is space_a else _with_vertices(space_b)
-    return (_maps_into(a, b, m, n_samples, seed) and
-            _maps_into(b, a, np.linalg.inv(m), n_samples, seed))
+    # one draw per space: a map of a space onto itself tests the images of
+    # the same seeded pure states in both directions
+    pure_states = cache(
+        lambda space: _sampled_pure_states(space, n_samples, seed))
+    return (_maps_into(a, b, m, pure_states) and
+            _maps_into(b, a, np.linalg.inv(m), pure_states))
 
 
 # ---------------------------------------------------------------------------

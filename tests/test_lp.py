@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from gptkit import bell, lp
+from gptkit import bell, distinguish, lp
+from gptkit.composites import enumerate_vertices, max_tensor
 from gptkit.errors import DimensionMismatch, InvalidArgument, NumericalFailure
-from gptkit.spaces import contains_state, is_pure, make_gbit
+from gptkit.spaces import contains_state, is_pure, make_gbit, make_polytopic
 
 from .conftest import polygon
 from .oracles import scipy_convex_combination_feasible
@@ -87,6 +88,82 @@ def test_degenerate_no_cycling():
     res = lp.solve(prob)
     assert res.status == "optimal"
     assert (prob.a_ub @ res.x - prob.b_ub).min() >= -lp.FEASTOL
+
+
+def test_slack_start_needs_no_pivot():
+    # every row of a_ub has b <= 0: each surplus starts in the basis at -b,
+    # x = 0 is that basis, and there is no artificial to drive out
+    prob = lp.LpProblem(n_vars=3,
+                        a_ub=np.array([[1.0, -2.0, 0.5], [-1.0, 0.0, -1.0],
+                                       [0.0, 3.0, -1.0]]),
+                        b_ub=np.array([0.0, -2.0, -0.5]))
+    res = lp.solve(prob)
+    assert res.status == "optimal" and res.pivots == 0
+    assert (res.x == 0.0).all()
+
+
+def test_mixed_signs_keep_artificials():
+    # rows with b > 0 start from an artificial, rows with b <= 0 from their
+    # surplus, and only the artificial rows enter the phase-1 costs
+    a_ub = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    feasible = lp.LpProblem(n_vars=2, a_eq=np.array([[1.0, -1.0]]),
+                            b_eq=np.array([-0.5]), a_ub=a_ub,
+                            b_ub=np.array([1.0, -2.0, 0.5, -3.0]))
+    tab, basis, flip = lp._standard_form(feasible)
+    ncols = tab.shape[1] - 1
+    assert list(basis) == [ncols, ncols + 1, 3, ncols + 3, 5]
+    assert list(flip) == [True, False, True, False, True]
+    assert (tab[-1] == -(tab[0] + tab[1] + tab[3])).all()
+    res = lp.solve(feasible)
+    assert res.status == "optimal" and res.pivots > 0
+    x, y = res.x
+    assert abs(x - y + 0.5) <= 1e-9
+    assert (a_ub @ res.x - feasible.b_ub).min() >= -1e-9
+
+    # x + y >= 3 against x <= 1 and y <= 1: infeasible, and the certificate
+    # is on the caller's rows, flipped ones included
+    infeasible = lp.LpProblem(n_vars=2, a_ub=a_ub[[0, 1, 3]],
+                              b_ub=np.array([3.0, -1.0, -1.0]))
+    res = lp.solve(infeasible)
+    assert res.status == "infeasible" and res.pivots > 0
+    y = res.certificate
+    assert np.all(y >= 0)
+    assert np.all(y @ infeasible.a_ub <= lp.CERT_TOL)
+    assert y @ infeasible.b_ub > 0
+
+
+def _ns_polytope():
+    g = make_gbit()
+    ns = max_tensor(g, g)
+    return make_polytopic(enumerate_vertices(ns), ns.u)
+
+
+def _recorded_solves(monkeypatch):
+    results = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve",
+                        lambda prob: results.append(solve(prob)) or results[-1])
+    return results
+
+
+def test_ns_witness_pivot_bound(monkeypatch):
+    # 21 pivots here; 251 from all artificials with Bland's rule, 50 from
+    # the slack start with Bland's rule, 142 from all artificials with
+    # Dantzig's
+    ns = _ns_polytope()
+    results = _recorded_solves(monkeypatch)
+    assert distinguish.perfectly_distinguishable(ns, ns.vertices[[0, 5, 10]])
+    assert len(results) == 1 and results[0].pivots <= 35
+
+
+def test_ns_capacity_pivot_bound(monkeypatch):
+    # 2105 pivots here; 18,498 from all artificials with Bland's rule, 4827
+    # from the slack start with Bland's rule, 7611 from all artificials
+    # with Dantzig's
+    ns = _ns_polytope()
+    results = _recorded_solves(monkeypatch)
+    assert distinguish.capacity(ns, n_max=4) == 4
+    assert sum(res.pivots for res in results) <= 3000
 
 
 def test_feasibility_only_problem():

@@ -138,6 +138,65 @@ def test_lp_matches_highs(seed):
         assert max_violation(prob, ours.x) <= lp.FEASTOL * scale, seed
 
 
+def degenerate_problem(rng):
+    """A highly degenerate LP: small integer rows, most of ``a_ub`` with
+    rhs 0, and repeated columns, some doubled, so that ratios tie."""
+    n = int(rng.integers(2, 6))
+    m_eq, m_ub = int(rng.integers(0, 3)), int(rng.integers(3, 9))
+    base = rng.integers(-2, 3, size=(m_eq + m_ub, n)).astype(float)
+    extra = rng.choice(n, int(rng.integers(1, n + 1)))
+    a = np.hstack([base, base[:, extra] * rng.choice([1.0, 2.0], extra.size)])
+    b_ub = np.zeros(m_ub)
+    rows = rng.choice(m_ub, int(rng.integers(0, 3)), replace=False)
+    b_ub[rows] = rng.integers(-2, 3, rows.size)
+    if rng.uniform() < 0.5:  # equalities met by a sparse point
+        x0 = rng.integers(0, 2, a.shape[1]) * rng.integers(0, 3, a.shape[1])
+        b_eq = a[:m_eq] @ x0
+    else:
+        b_eq = rng.integers(-2, 3, m_eq).astype(float)
+    return lp.LpProblem(n_vars=a.shape[1], a_eq=a[:m_eq] if m_eq else None,
+                        b_eq=b_eq if m_eq else None, a_ub=a[m_eq:], b_ub=b_ub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+def test_degenerate_lp_matches_highs(seed):
+    prob = degenerate_problem(np.random.default_rng(seed))
+    n, m_ub = prob.n_vars, prob.a_ub.shape[0]
+    ours = lp.solve(prob)
+    ref = linprog(np.zeros(n), A_ub=-prob.a_ub, b_ub=-prob.b_ub,
+                  A_eq=prob.a_eq, b_eq=prob.b_eq,
+                  bounds=[(0.0, None)] * n, method="highs")
+    feasible = ref.status == 0
+    assert ours.status == ("optimal" if feasible else "infeasible"), seed
+    if feasible:
+        scale = max(1.0, float(np.abs(ours.x).max()))
+        assert max_violation(prob, ours.x) <= lp.FEASTOL * scale, seed
+    else:
+        # the certificate is on the caller's rows: [a_eq 0; a_ub -I] z = b
+        a_ub = np.hstack([prob.a_ub, -np.eye(m_ub)])
+        a, b = a_ub, prob.b_ub
+        if prob.a_eq is not None:
+            a = np.vstack([np.hstack([prob.a_eq, np.zeros((len(prob.b_eq), m_ub))]),
+                           a_ub])
+            b = np.concatenate([prob.b_eq, prob.b_ub])
+        assert lp._refutes(ours.certificate, a, b), seed
+
+
+@pytest.mark.parametrize("run", [0, 1])
+def test_bland_fallback_same_verdicts(monkeypatch, run):
+    # Bland's rule from the first (0) or second (1) degenerate pivot on:
+    # the rule the fallback switches to reaches the same verdicts
+    problems = [degenerate_problem(np.random.default_rng(s)) for s in range(300)]
+    default = [lp.solve(prob).status for prob in problems]
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", run)
+    for prob, status in zip(problems, default):
+        res = lp.solve(prob)
+        assert res.status == status
+        if status == "optimal":
+            assert max_violation(prob, res.x) <= lp.FEASTOL * max(1.0, res.x.max())
+
+
 @pytest.mark.parametrize("seed,vertex", [(19, 4), (26, 3), (27, 4), (28, 0)])
 def test_purity_on_96_vertices_matches_qhull(seed, vertex):
     # inputs on which a drifting tableau once failed its residual check

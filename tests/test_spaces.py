@@ -406,6 +406,28 @@ def test_reversible_is_self_equivalence(space, m, expected):
     assert are_equivalent(space, space, m, n_samples=50) == expected
 
 
+def test_self_equivalence_draws_once(monkeypatch):
+    # both directions test the images of one seeded draw, bitwise the one
+    # each direction drew for itself before
+    draw = spaces._sampled_pure_states
+    draws, images = [], []
+    monkeypatch.setattr(spaces, "_sampled_pure_states",
+                        lambda *args: draws.append(draw(*args)) or draws[-1])
+    monkeypatch.setattr(spaces, "contains_state",
+                        lambda space, x: images.append(x) or True)
+    q3 = make_quantum(3)
+    assert is_reversible_transformation(q3, np.eye(9), n_samples=20, seed=3)
+    assert len(draws) == 1 and len(images) == 40
+    assert (np.array(images[:20]) == draw(q3, 20, 3)).all()
+    assert (np.array(images[20:]) == draw(q3, 20, 3)).all()
+    # two spaces: each direction draws from its own
+    assert are_equivalent(q3, make_quantum(3), np.eye(9), n_samples=20, seed=3)
+    assert len(draws) == 3
+    # a map that breaks normalization is refused before any draw
+    assert not is_reversible_transformation(q3, 2 * np.eye(9))
+    assert len(draws) == 3
+
+
 def test_translated_ball_not_equivalent():
     # a map of a ball onto a ball fixes its centre; no sample is needed
     m = _ball_map(3, ROT90, [0.3, 0.0, 0.0])
