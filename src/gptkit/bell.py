@@ -20,8 +20,7 @@ import numpy as np
 from . import lp
 from .errors import (InvalidArgument, InvalidSetup, InvalidTable, NotAState,
                      NumericalFailure)
-from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL
-from .spaces import contains_state
+from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL, PROB_TOL
 
 OUTCOMES = (-1, +1)
 INPUTS = (0, 1)
@@ -76,7 +75,7 @@ class ProbTable222:
         entries = p.tolist()
         if not all(map(math.isfinite, entries)):
             raise InvalidTable("table has a non-finite entry")
-        if min(entries) < -1e-12:
+        if min(entries) < -PROB_TOL:
             raise InvalidTable("negative probability")
         values = tuple((p @ _ALL).tolist())
         for k, s in enumerate(values[:4]):
@@ -330,8 +329,11 @@ def table_from_composite_state(omega, composite=None):
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (9,):
         raise NotAState("expected a gbit(x)gbit vector of length 9")
-    if composite is not None and not contains_state(composite, omega):
-        raise NotAState("not a state of the composite")
+    if composite is not None:
+        from .spaces import contains_state
+
+        if not contains_state(composite, omega):
+            raise NotAState("not a state of the composite")
     p = np.einsum("xam,ybn,mn->xyab", _GBIT_EFFECTS, _GBIT_EFFECTS,
                   omega.reshape(3, 3))
     return ProbTable222(np.clip(p.ravel(), 0.0, None))

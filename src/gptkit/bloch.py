@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import InvalidArgument, NotAState, TooFewSamples
 from .lp import FEASTOL
-from .spaces import make_classical, make_quantum
 
 PAULI = np.array([[[0, 1], [1, 0]],
                   [[0, -1j], [1j, 0]],
@@ -153,6 +152,7 @@ def check_dimension_law(n_max=5):
     if n_max < 2:
         raise InvalidArgument("need n_max >= 2")
     from .composites import check_supermultiplicativity, min_tensor
+    from .spaces import make_classical, make_quantum
 
     report = {"classical": {}, "quantum": {}, "composites": []}
     for n in range(1, n_max + 1):

@@ -5,7 +5,9 @@ with JSON/CSV/text output and stable exit codes: 0 success, 1 invalid
 input, 2 scale limit, 3 internal numerical failure.  ``-`` means
 stdin/stdout for every FILE argument.  Each subcommand takes only the
 options it reads; the default of --seed (tsirelson, bloch) is taken from
-the GPTKIT_SEED environment variable (falling back to 0).
+the GPTKIT_SEED environment variable (falling back to 0).  ``main``, the
+``gptkit`` command, runs BLAS on one thread unless the environment already
+sets a thread count; ``run`` leaves the environment alone.
 """
 
 import argparse
@@ -14,9 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import bell, bloch, composites, distinguish, interference, spaces
 from .errors import GptkitError, NumericalFailure, ScaleLimit
 
 EXIT_OK = 0
@@ -50,13 +49,18 @@ def _write(path, text):
 
 
 def _complex_grid(doc):
+    import numpy as np
+
     return np.array([[complex(re, im) for re, im in row] for row in doc])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each imports the modules it uses when it runs, so a call
+# loads (and, without cached bytecode, compiles) only those
 
 def cmd_chsh(args):
+    from . import bell
+
     table = bell.table_from_json(_read(args.table))
     value = bell.chsh(table)
     corr = {f"E_{x}{y}": bell.expectation(table, x, y)
@@ -84,6 +88,8 @@ def cmd_chsh(args):
 
 
 def cmd_prbox(args):
+    from . import bell
+
     v = args.variant
     if len(v) != 3 or any(c not in "01" for c in v):
         raise GptkitError("variant must be three bits, e.g. 000")
@@ -93,6 +99,10 @@ def cmd_prbox(args):
 
 
 def cmd_tsirelson(args):
+    import numpy as np
+
+    from . import bell
+
     value, setup = bell.maximize_chsh_quantum(seed=args.seed,
                                               iterations=args.iters)
     norm = float(np.abs(np.linalg.eigvalsh(bell.chsh_operator(setup))).max())
@@ -109,6 +119,10 @@ def cmd_tsirelson(args):
 
 
 def cmd_distinguish(args):
+    import numpy as np
+
+    from . import distinguish, spaces
+
     space = spaces.space_from_json(_read(args.space))
     states = np.asarray(json.loads(_read(args.states))["states"], dtype=float)
     witness = distinguish.perfectly_distinguishable(space, states)
@@ -130,6 +144,8 @@ def cmd_distinguish(args):
 
 
 def cmd_compose(args):
+    from . import composites, spaces
+
     a = spaces.space_from_json(_read(args.a))
     b = spaces.space_from_json(_read(args.b))
     comp = (composites.min_tensor if args.kind == "min"
@@ -141,6 +157,8 @@ def cmd_compose(args):
 
 
 def cmd_sorkin(args):
+    from . import interference
+
     doc = json.loads(_read(args.exp))
     m = int(doc["M"])
     rho = _complex_grid(doc["rho"])
@@ -168,6 +186,10 @@ def cmd_sorkin(args):
 
 
 def cmd_bloch(args):
+    import numpy as np
+
+    from . import bloch
+
     rng = np.random.default_rng(args.seed)
     if args.op == "roundtrip":
         worst = 0.0
@@ -200,6 +222,10 @@ def cmd_bloch(args):
 
 
 def cmd_nspolytope(args):
+    import numpy as np
+
+    from . import bell, composites, spaces
+
     g = spaces.make_gbit()
     comp = composites.max_tensor(g, g)
     verts = composites.enumerate_vertices(comp)
@@ -294,6 +320,12 @@ def _emit_error(exc, kind):
 
 
 def main():
+    # One BLAS thread unless the caller chose a count: the many small
+    # products and solves of an LP search only slow down in a thread pool.
+    # Set before numpy is first imported; library callers keep numpy's
+    # default.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     sys.exit(run())
 
 

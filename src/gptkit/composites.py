@@ -13,8 +13,6 @@ Composites go to and from JSON, factors included, as every space does.
 import numpy as np
 
 from . import geometry
-from .distinguish import (DistinguishabilityWitness, _largest_distinguishable,
-                          perfectly_distinguishable)
 from .errors import DimensionMismatch, NotAState, ScaleLimit, UnsupportedKind
 from .lp import FEASTOL, WITNESS_TOL
 from .spaces import (Effect, Measurement, StateSpace, _with_vertices,
@@ -145,6 +143,12 @@ def check_supermultiplicativity(a, b, comp=None):
     if not {a.kind, b.kind} <= {"quantum", "polytopic"}:
         raise UnsupportedKind("supermultiplicativity check needs quantum or "
                               "polytopic factors")
+    # imported here, its one use, so that building a composite does not
+    # load the distinguishability module
+    from .distinguish import (DistinguishabilityWitness,
+                              _largest_distinguishable,
+                              perfectly_distinguishable)
+
     sets = []
     for space in (a, b):
         if space.kind == "quantum":

@@ -118,12 +118,12 @@ def _quantum_witness(space, states, n):
     projs = [_support_projector(r) for r in rhos]
     for i in range(n):
         for j in range(i + 1, n):
-            if np.abs(projs[i] @ projs[j]).max() > 1e-8:
+            if np.abs(projs[i] @ projs[j]).max() > lp.ORTHO_TOL:
                 return None
     dim = space.hilbert_dim
     rest = np.eye(dim) - sum(projs)
     effects = [Effect(mat_to_coords(p)) for p in projs]
-    if np.abs(rest).max() > 1e-10:
+    if np.abs(rest).max() > lp.COMPLETE_TOL:
         effects.append(Effect(mat_to_coords(rest)))
     return _checked(DistinguishabilityWitness(Measurement(tuple(effects)),
                                               np.asarray(states, dtype=float)))

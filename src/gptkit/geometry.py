@@ -13,7 +13,7 @@ them.
 import numpy as np
 
 from .errors import ScaleLimit
-from .lp import FEASTOL
+from .lp import FEASTOL, RANK_TOL
 
 # Desk-scale limits of ``polytope_vertices``.
 MAX_INEQS = 64
@@ -31,7 +31,7 @@ def _initial_basis_rows(a):
     rank = 0
     for i in range(a.shape[0]):
         trial = chosen + [i]
-        if np.linalg.matrix_rank(a[trial], tol=1e-10) > rank:
+        if np.linalg.matrix_rank(a[trial], tol=RANK_TOL) > rank:
             chosen = trial
             rank += 1
         if rank == n:

@@ -57,6 +57,29 @@ WITNESS_TOL = 1e-7
 # rounding from normalising and recombining rays, above FEASTOL, while distinct
 # no-signalling vertices lie at least 1/2 apart.
 DEDUP_TOL = 1e-8
+# A Bell-table entry may lie this far below 0.  A probability should fall
+# under 0 only by rounding, so the bound sits near rounding, far inside
+# FEASTOL.
+PROB_TOL = 1e-12
+# ``distinguish`` treats the support projectors P_i, P_j of two density
+# matrices as orthogonal when no entry of P_i P_j exceeds this.  Orthogonal
+# supports from ``eigh`` meet only to rounding (about 1e-15); the witness
+# built from them is still checked against WITNESS_TOL.
+ORTHO_TOL = 1e-8
+# Singular values below this count as zero in rank tests (geometry's initial
+# basis, the vertex certificate of an ``ineqs`` space) and, relative to the
+# largest, in ``LinearMap.is_invertible``.  The rows tested are functionals of
+# order 1, whose rounding leaves singular values near 1e-15.
+RANK_TOL = 1e-10
+# The support projectors of distinguishable quantum states complete to the
+# identity when no entry of 1 - sum(P_i) exceeds this; otherwise that
+# remainder becomes one more effect.  A nonzero projector on C^N has a
+# diagonal entry of at least 1/N, so a real remainder is far above it.
+COMPLETE_TOL = 1e-10
+# Width at which the S-lemma bisection over lam (``spaces._ball_image_fits``)
+# stops.  Its objective is concave and 1-Lipschitz in lam, so the midpoint is
+# then within 1e-12 of the maximum, far inside FEASTOL.
+BISECT_TOL = 1e-12
 # Pivot threshold: entries smaller than this are treated as zero.
 _PIVTOL = 1e-10
 

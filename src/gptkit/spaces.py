@@ -33,7 +33,7 @@ import numpy as np
 from . import geometry, lp
 from .errors import (DimensionMismatch, InvalidArgument, NotAState,
                      NumericalFailure, SingularMap, UnsupportedKind)
-from .lp import FEASTOL
+from .lp import BISECT_TOL, FEASTOL, RANK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ class LinearMap:
     def is_invertible(self):
         sv = np.linalg.svd(self.matrix, compute_uv=False)
         return self.matrix.shape[0] == self.matrix.shape[1] and \
-            sv[-1] > 0 and sv[-1] >= 1e-10 * sv[0]
+            sv[-1] > 0 and sv[-1] >= RANK_TOL * sv[0]
 
     def inverse(self):
         if not self.is_invertible():
@@ -256,7 +256,7 @@ def _tight_rows_full_rank(space, x):
     those rows cut out: a vertex.
     """
     face = np.vstack([space.ineqs[np.abs(space.ineqs @ x) <= FEASTOL], space.u])
-    return np.linalg.matrix_rank(face, tol=1e-10) == space.ambient_dim
+    return np.linalg.matrix_rank(face, tol=RANK_TOL) == space.ambient_dim
 
 
 def _nonnegative_on_states(space, f):
@@ -411,7 +411,7 @@ def _ball_image_fits(t, mm):
     while True:
         lam = (lo + hi) / 2
         ev, vec = np.linalg.eigh(p + lam * np.diag(step))
-        if ev[0] >= -FEASTOL or hi - lo <= 1e-12:
+        if ev[0] >= -FEASTOL or hi - lo <= BISECT_TOL:
             return ev[0] >= -FEASTOL
         if step @ vec[:, 0] ** 2 > 0:
             lo = lam

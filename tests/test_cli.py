@@ -352,3 +352,45 @@ def test_stdout_pinned(capsys, tmp_path, case):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[case]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Runs the CLI as ``python -m gptkit.cli`` would and prints, to stderr, the
+# BLAS thread variables as they stood when numpy was first imported.
+BLAS_PROBE = f"""
+import os, runpy, sys
+class NumpyImportSpy:
+    seen = False
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "numpy" and not cls.seen:
+            cls.seen = True
+            print(*(os.environ.get(v) for v in {BLAS_VARS!r}), file=sys.stderr)
+sys.meta_path.insert(0, NumpyImportSpy)
+sys.argv[0] = "gptkit"
+runpy.run_module("gptkit.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("given, seen", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+], ids=["unset", "user-set"])
+def test_cli_pins_blas_threads_before_numpy(given, seen):
+    src = str(Path(gptkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(given)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE, "prbox"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.split() == seen
+
+
+def test_library_call_leaves_blas_threads_alone(capsys, monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    code, _, _ = run_cli(capsys, ["prbox"])
+    assert code == 0
+    assert not set(BLAS_VARS) & set(os.environ)
