@@ -1,7 +1,8 @@
-"""Second- and third-order interference in multi-slit experiments.
+"""Second- and higher-order interference in multi-slit experiments.
 
 Quantum mechanics shows second-order interference (I2 != 0) but the
-third-order residual I3 vanishes identically.  Replacing the orthogonal
+third-order residual I3, and with it every higher I_m, vanishes
+identically.  Replacing the orthogonal
 slit projectors by more general blocking maps breaks the cancellation.
 
 Run: python3 demos/demo_sorkin.py
@@ -9,7 +10,7 @@ Run: python3 demos/demo_sorkin.py
 
 import numpy as np
 
-from gptkit.interference import (SlitExperiment, rotated_blockers,
+from gptkit.interference import (SlitExperiment, rotated_blockers, sorkin,
                                  sorkin_i2, sorkin_i3,
                                  sorkin_i3_with_blockers)
 
@@ -38,3 +39,9 @@ v = np.ones(3) / np.sqrt(3)
 rho = np.outer(v, v).astype(complex)
 val = sorkin_i3_with_blockers(rho, rotated_blockers(0.1), rho)
 print(f"I3 with tilted (non-orthogonal) blockers: {val:.6f}")
+
+a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+rho4 = a @ a.conj().T
+rho4 /= np.trace(rho4)
+print(f"I4 for a random 4-slit experiment:        "
+      f"{sorkin(SlitExperiment(m=4, rho=rho4, q=rho4)):.2e}")

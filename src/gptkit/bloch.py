@@ -1,7 +1,6 @@
 """Bloch-ball machinery for the qubit and the verifiable consequences of
 the reconstruction: the density-matrix correspondence, the unitary to
-SO(3) rotation map, group averaging, strict convexity of balls, and the
-dimension laws K = N^r.
+SO(3) rotation map, group averaging, and the dimension laws K = N^r.
 
 Haar averages come in two forms: ``haar_so3`` returns the n rotations
 (for checks that need the samples), and ``haar_mean`` returns only their
@@ -119,30 +118,6 @@ def invariant_inner_product(samples, seed=0):
     # normalize so that the average norm over the coordinate axes is 1
     alpha = 3.0 / np.trace(g)
     return alpha * g
-
-
-def check_strict_convexity_ball(d, trials=1000, seed=0):
-    """Sampled check that proper mixtures of distinct boundary points of
-    the d-ball are interior; reports the minimum gap 1 - |midpoint|."""
-    if d < 1:
-        raise InvalidArgument("need d >= 1")
-    rng = np.random.default_rng(seed)
-    if d == 1:
-        # boundary is two points; the only proper mixtures are interior
-        return {"dim": 1, "trials": 0, "min_gap": 1.0, "strictly_convex": True}
-    min_gap = np.inf
-    for _ in range(trials):
-        x = rng.normal(size=d)
-        y = rng.normal(size=d)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        if np.linalg.norm(x - y) < FEASTOL:
-            continue
-        lam = rng.uniform(0.05, 0.95)
-        gap = 1.0 - np.linalg.norm(lam * x + (1 - lam) * y)
-        min_gap = min(min_gap, gap)
-    return {"dim": d, "trials": trials, "min_gap": float(min_gap),
-            "strictly_convex": bool(min_gap > 0)}
 
 
 def check_dimension_law(n_max=5):

@@ -160,24 +160,16 @@ def cmd_sorkin(args):
     from . import interference
 
     doc = json.loads(_read(args.exp))
-    m = int(doc["M"])
-    rho = _complex_grid(doc["rho"])
-    q = _complex_grid(doc["Q"])
-    exp = interference.SlitExperiment(m=m, rho=rho, q=q)
-    out = {}
-    if m == 2:
-        out["I2"] = interference.sorkin_i2(exp)
-    else:
-        out["I3"] = interference.sorkin_i3(exp)
-        if args.blockers:
-            bdoc = json.loads(_read(args.blockers))
-            blockers = {}
-            for key, kraus in bdoc["subsets"].items():
-                sub = tuple(int(c) for c in key)
-                blockers[sub] = interference.BlockingMap(
-                    tuple(_complex_grid(k) for k in kraus))
-            out["I3_blockers"] = interference.sorkin_i3_with_blockers(
-                rho, blockers, q)
+    exp = interference.SlitExperiment(m=int(doc["M"]),
+                                      rho=_complex_grid(doc["rho"]),
+                                      q=_complex_grid(doc["Q"]))
+    out = {f"I{exp.m}": interference.sorkin(exp)}
+    if args.blockers:
+        bdoc = json.loads(_read(args.blockers))
+        blockers = {tuple(int(c) for c in key): interference.BlockingMap(
+            tuple(_complex_grid(k) for k in kraus))
+            for key, kraus in bdoc["subsets"].items()}
+        out[f"I{exp.m}_blockers"] = interference.sorkin(exp, blockers)
     if args.format == "json":
         _write(args.output, json.dumps(out))
     else:

@@ -1,28 +1,45 @@
-"""Sorkin interference quantities for 2- and 3-slit arrangements.
+"""Sorkin interference quantities for m-slit arrangements.
 
 Click probabilities are P_I = tr(P_I rho P_I Q) with P_I the projector
-onto the open-slit subspace.  The second-order quantity
-I2 = P12 - P1 - P2 is generically nonzero in quantum mechanics; the
-third-order residual I3 = P123 - P12 - P13 - P23 + P1 + P2 + P3
-vanishes identically, which is exposed here as a directly assertable
-residual.  Replacing the orthogonal projectors by general
-trace-nonincreasing blocking maps breaks the identity.
+onto the open-slit subspace, and I_m = sum_I (-1)^(m - |I|) P_I over the
+open-slit subsets I.  I2 = P12 - P1 - P2 is generically nonzero in
+quantum mechanics; I3 = P123 - P12 - P13 - P23 + P1 + P2 + P3, and with
+it every higher I_m (Sorkin 1994), vanishes identically.  Replacing the
+orthogonal projectors by general trace-nonincreasing blocking maps
+breaks the identity.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import (EmptySubset, InvalidArgument, InvalidKraus,
+from .errors import (EmptySubset, InvalidArgument, InvalidKraus, ScaleLimit,
                      WrongSlitCount)
 from .lp import FEASTOL
 
-SUBSETS_3 = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
+# Desk-scale limit: I_m sums 2^m - 1 traces, doubling its cost with each
+# slit, and a blocker file names a subset by one digit per open slit.
+MAX_SLITS = 9
+
+
+def _subsets(m):
+    """The open-slit subsets of m slits, largest first and lexicographic
+    within each size, the order of the written-out sums."""
+    return [sub for k in range(m, 0, -1)
+            for sub in combinations(range(1, m + 1), k)]
+
+
+def _inclusion_exclusion(value, m):
+    """sum_I (-1)^(m - |I|) value(I), a number or an array, added in
+    ``_subsets`` order from -0.0, which adds nothing even to -0.0."""
+    return sum((-value(sub) if (m - len(sub)) % 2 else value(sub)
+                for sub in _subsets(m)), -0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class SlitExperiment:
-    """Which-slit state rho, detector effect q, for m = 2 or 3 slits.
+    """Which-slit state rho, detector effect q, for 2 <= m <= MAX_SLITS.
 
     The slit basis is the standard basis; the slit projectors are the
     rank-1 diagonal projectors in that basis.
@@ -33,12 +50,15 @@ class SlitExperiment:
     q: np.ndarray
 
     def __post_init__(self):
-        if self.m not in (2, 3):
-            raise WrongSlitCount("slit count must be 2 or 3")
+        if self.m < 2:
+            raise WrongSlitCount("slit count must be at least 2")
+        if self.m > MAX_SLITS:
+            raise ScaleLimit(f"slit count above {MAX_SLITS}")
         rho = np.asarray(self.rho, dtype=complex)
         q = np.asarray(self.q, dtype=complex)
-        if rho.shape != (self.m, self.m) or q.shape != (self.m, self.m):
-            raise InvalidArgument("rho and q must be m x m matrices")
+        if rho.shape != (self.m, self.m) or q.shape != (self.m, self.m) or \
+                not (np.isfinite(rho).all() and np.isfinite(q).all()):
+            raise InvalidArgument("rho and q must be finite m x m matrices")
         if np.abs(rho - rho.conj().T).max() > FEASTOL or \
                 abs(np.trace(rho).real - 1.0) > FEASTOL or \
                 np.linalg.eigvalsh(rho).min() < -FEASTOL:
@@ -49,9 +69,6 @@ class SlitExperiment:
             raise InvalidArgument("q is not an effect (0 <= Q <= 1)")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "q", q)
-
-    def projector(self, open_slits):
-        return _slit_projector(self.m, open_slits)
 
 
 def _slit_projector(m, open_slits):
@@ -69,26 +86,35 @@ def click_probability(exp, open_slits):
         raise EmptySubset("at least one slit must be open")
     if any(i < 1 or i > exp.m for i in open_slits):
         raise InvalidArgument("slit index out of range")
-    proj = exp.projector(open_slits)
+    proj = _slit_projector(exp.m, open_slits)
     return float(np.trace(proj @ exp.rho @ proj @ exp.q).real)
+
+
+def sorkin(exp, blockers=None):
+    """I_m over all m slits of ``exp``: the inclusion-exclusion of
+    tr(P_I rho P_I Q), or of tr(B_I(rho) Q) when ``blockers`` maps each
+    open-slit subset I (a sorted tuple of 1-based slits) to a BlockingMap."""
+    if blockers is None:
+        return _inclusion_exclusion(lambda sub: click_probability(exp, sub),
+                                    exp.m)
+    if set(blockers) != set(_subsets(exp.m)):
+        raise InvalidKraus("need one blocker per open-slit subset, no other")
+    return _inclusion_exclusion(
+        lambda sub: float(np.trace(blockers[sub](exp.rho) @ exp.q).real), exp.m)
 
 
 def sorkin_i2(exp):
     """P12 - P1 - P2 (second-order interference)."""
     if exp.m != 2:
         raise WrongSlitCount("I2 needs a 2-slit experiment")
-    return (click_probability(exp, (1, 2))
-            - click_probability(exp, (1,))
-            - click_probability(exp, (2,)))
+    return sorkin(exp)
 
 
 def sorkin_i3(exp):
     """P123 - P12 - P13 - P23 + P1 + P2 + P3; zero in quantum mechanics."""
     if exp.m != 3:
         raise WrongSlitCount("I3 needs a 3-slit experiment")
-    p = {s: click_probability(exp, s) for s in SUBSETS_3}
-    return (p[(1, 2, 3)] - p[(1, 2)] - p[(1, 3)] - p[(2, 3)]
-            + p[(1,)] + p[(2,)] + p[(3,)])
+    return sorkin(exp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +125,8 @@ class BlockingMap:
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise InvalidKraus("need at least one Kraus operator")
+        if not ops or not all(np.isfinite(k).all() for k in ops):
+            raise InvalidKraus("need one or more finite Kraus operators")
         total = sum(k.conj().T @ k for k in ops)
         if np.linalg.eigvalsh(total).max() > 1.0 + FEASTOL:
             raise InvalidKraus("sum K^dag K exceeds the identity")
@@ -112,7 +138,7 @@ class BlockingMap:
 
 def projector_blockers(m=3):
     """The canonical orthogonal-projector blockings, one per subset."""
-    return {s: BlockingMap((_slit_projector(m, s),)) for s in SUBSETS_3}
+    return {s: BlockingMap((_slit_projector(m, s),)) for s in _subsets(m)}
 
 
 def rotated_blockers(angle=0.1):
@@ -127,7 +153,7 @@ def rotated_blockers(angle=0.1):
     vecs = np.eye(3, dtype=complex)
     vecs[:, 0] = np.array([np.cos(angle), np.sin(angle), 0.0])
     out = {}
-    for sub in SUBSETS_3:
+    for sub in _subsets(3):
         cols = vecs[:, [i - 1 for i in sub]]
         q, _ = np.linalg.qr(cols)
         out[sub] = BlockingMap((q @ q.conj().T,))
@@ -137,11 +163,13 @@ def rotated_blockers(angle=0.1):
 def depolarize_then_project(strength=0.1):
     """Blockings that depolarize with subset-dependent strength, then
     apply the orthogonal projector.  The state fed into the projector
-    differs per subset, so the residual is generically nonzero."""
-    base = projector_blockers()
+    differs per subset, so the residual is generically nonzero.  A single
+    open slit keeps weight 1 - 16 strength / 9, so 0 <= strength <= 9/16."""
+    if not 0 <= strength <= 9 / 16:
+        raise InvalidArgument("strength must lie in [0, 9/16]")
     out = {}
-    for sub, b in base.items():
-        proj = b.kraus[0]
+    for sub in _subsets(3):
+        proj = _slit_projector(3, sub)
         s = strength * (3 - len(sub))  # stronger noise with more blockage
         keep = np.sqrt(1 - s + s / 9) * proj
         noise = [np.sqrt(s / 9) * proj @ w for w in _weyl_unitaries()]
@@ -159,31 +187,15 @@ def _weyl_unitaries():
 
 
 def sorkin_i3_with_blockers(rho, blockers, q):
-    """Third-order residual with the projector blockings replaced by maps.
-
-    ``blockers`` maps each of the 7 open-slit subsets to a BlockingMap.
-    """
-    for s in SUBSETS_3:
-        if s not in blockers:
-            raise InvalidKraus(f"missing blocker for subset {s}")
-    rho = np.asarray(rho, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-
-    def p(sub):
-        return float(np.trace(blockers[sub](rho) @ q).real)
-
-    return (p((1, 2, 3)) - p((1, 2)) - p((1, 3)) - p((2, 3))
-            + p((1,)) + p((2,)) + p((3,)))
+    """I3 with the projector blockings replaced by ``blockers``, which maps
+    each of the 7 open-slit subsets to a BlockingMap."""
+    return sorkin(SlitExperiment(3, rho, q), blockers)
 
 
 def decomposition_residual(rho):
-    """Entrywise residual of rho_123 - sum_ij rho_ij + sum_i rho_i."""
+    """Entrywise max of the inclusion-exclusion of the cut states
+    P_I rho P_I over the m = rho.shape[0] slits; zero for m >= 3."""
     rho = np.asarray(rho, dtype=complex)
-
-    def cut(sub):
-        proj = _slit_projector(3, sub)
-        return proj @ rho @ proj
-
-    total = (cut((1, 2, 3)) - cut((1, 2)) - cut((1, 3)) - cut((2, 3))
-             + cut((1,)) + cut((2,)) + cut((3,)))
-    return float(np.abs(total).max())
+    cut = projector_blockers(rho.shape[0])
+    return float(np.abs(_inclusion_exclusion(
+        lambda sub: cut[sub](rho), rho.shape[0])).max())

@@ -164,14 +164,6 @@ def test_invariant_inner_product_matches_per_sample_products():
         assert np.abs(got - want).max() < 1e-13
 
 
-def test_strict_convexity():
-    for d in (1, 2, 3):
-        rep = bloch.check_strict_convexity_ball(d)
-        assert rep["strictly_convex"]
-    with pytest.raises(InvalidArgument):
-        bloch.check_strict_convexity_ball(0)
-
-
 def test_dimension_laws():
     rep = bloch.check_dimension_law(5)
     assert rep["all_hold"]

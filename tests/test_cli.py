@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import gptkit
-from gptkit import bell, cli, spaces
+from gptkit import bell, cli, interference, spaces
 
-from .conftest import polygon
+from .conftest import polygon, random_density, random_effect_operator
 
 try:
     import tomllib
@@ -140,6 +140,71 @@ def test_sorkin(capsys, tmp_path):
                                     "--format", "json"])
     assert code == 0
     assert abs(json.loads(out)["I3"]) < 1e-12
+
+
+# a 2-slit state and detector with complex coherences
+SORKIN_M2 = ([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]],
+             [[0.6, 0.3j], [-0.3j, 0.4]])
+
+
+def grid(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def sorkin_argv(tmp_path, m, rho, q, blockers=None):
+    """argv for ``sorkin`` on files written under ``tmp_path``; ``blockers``
+    maps open-slit subsets to BlockingMaps."""
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"M": m, "rho": grid(rho), "Q": grid(q)}))
+    argv = ["sorkin", "--exp", str(exp)]
+    if blockers is not None:
+        path = tmp_path / "blockers.json"
+        path.write_text(json.dumps({"subsets": {
+            "".join(map(str, s)): [grid(k) for k in b.kraus]
+            for s, b in blockers.items()}}))
+        argv += ["--blockers", str(path)]
+    return argv
+
+
+def test_sorkin_two_slits_reads_blockers(capsys, tmp_path):
+    argv = sorkin_argv(tmp_path, 2, *SORKIN_M2,
+                       interference.projector_blockers(2))
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["I2", "I2_blockers"]
+    assert abs(doc["I2_blockers"] - doc["I2"]) < 1e-12
+    code, out, err = run_cli(
+        capsys, sorkin_argv(tmp_path, 2, *SORKIN_M2)
+        + ["--blockers", str(tmp_path / "missing.json")])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "invalid_input"
+
+
+def test_sorkin_four_slits(capsys, tmp_path):
+    rng = np.random.default_rng(4)
+    argv = sorkin_argv(tmp_path, 4, random_density(rng, 4),
+                       random_effect_operator(rng, 4))
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["I4"] and abs(doc["I4"]) <= 1e-12
+
+
+def test_sorkin_too_many_slits_exit_code(capsys, tmp_path):
+    argv = sorkin_argv(tmp_path, 10, np.eye(10) / 10, np.eye(10))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "scale_limit"
+
+
+def test_sorkin_non_finite_exit_code(capsys, tmp_path):
+    rho = np.array(SORKIN_M2[0])
+    rho[0, 1] = np.nan
+    code, out, err = run_cli(capsys,
+                             sorkin_argv(tmp_path, 2, rho, SORKIN_M2[1]))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "invalid_input"
 
 
 def test_bloch_ops(capsys):
@@ -316,7 +381,9 @@ def test_unread_options_rejected(capsys, tmp_path, argv):
 
 
 # sha256 of the stdout of each call, recorded before maximal composites
-# became StateSpaces given by inequalities; the output must not move
+# became StateSpaces given by inequalities (compose, nspolytope) and before
+# the Sorkin quantities became one inclusion-exclusion (sorkin); the output
+# must not move
 PINNED_STDOUT = {
     "c3-pentagon-max":
         "f47284a09b85169d610a00c363904ce30d845112e86493efa8c9239c316cae58",
@@ -332,6 +399,14 @@ PINNED_STDOUT = {
         "e62cd17a04248e26e5853fc015689b321b75fa16abc1407fb045f82035c41efd",
     "nspolytope-json":
         "844bc61a53167caf9de0b70e0c998c18d99e91b0ee2a90a89e50d3c91d68c7d5",
+    "sorkin-m2-json":
+        "af7a047925e51161a6c66f9879a534c1ece5e8872e411eb476f72e2f2d9f6d4d",
+    "sorkin-m2-text":
+        "c9057f40dd97752699ec876fbb0837092ea62fcd256145174206b653ecc885e2",
+    "sorkin-m3-rotated-json":
+        "0ca288bcb0a8faac6601cf310aea8f4f26d510cd9d368004b122db988205115f",
+    "sorkin-m3-rotated-text":
+        "588f02c355d81282bebaa1ecc796d9ae9d44b9528b56e6c1234dea4ad582d69e",
 }
 
 
@@ -339,6 +414,15 @@ PINNED_STDOUT = {
 def test_stdout_pinned(capsys, tmp_path, case):
     if case == "nspolytope-json":
         argv = ["nspolytope", "--format", "json"]
+    elif case.startswith("sorkin-m2-"):
+        argv = sorkin_argv(tmp_path, 2, *SORKIN_M2)
+        argv += ["--format", case.rsplit("-", 1)[1]]
+    elif case.startswith("sorkin-m3-"):
+        v = np.full(3, 1 / np.sqrt(3))
+        rho = np.outer(v, v)
+        argv = sorkin_argv(tmp_path, 3, rho, rho,
+                           interference.rotated_blockers(0.3))
+        argv += ["--format", case.rsplit("-", 1)[1]]
     else:
         name_a, name_b, kind, *flag = case.split("-")
         factors = {"gbit": spaces.make_gbit(), "c3": spaces.make_classical(3),
