@@ -1,8 +1,10 @@
 """Perfect distinguishability and capacity.
 
 A set of states is jointly perfectly distinguishable when a single
-measurement identifies each of them with certainty.  Polytopic spaces are
-decided by one joint LP over the effect coefficients; quantum spaces
+measurement identifies each of them with certainty.  On a polytopic space
+the conditions e_i(omega_j) = delta_ij are solved by linear algebra, and
+only n < K states leave the effects free for an LP, which asks that every
+effect be nonnegative on the vertices.  Quantum spaces are decided
 analytically via orthogonality of supports (pairwise orthogonality is
 equivalent to joint distinguishability there); the ball via antipodality.
 """
@@ -29,10 +31,9 @@ class DistinguishabilityWitness:
 
     def delta_error(self):
         """Max deviation from e_i(omega_j) = delta_ij."""
-        vals = np.array([[e(w) for w in self.states]
-                         for e in self.measurement.effects])
         n = len(self.states)
-        return float(np.abs(vals[:n, :n] - np.eye(n)).max())
+        effects = np.array([e.coeffs for e in self.measurement.effects[:n]])
+        return float(np.abs(effects @ self.states.T - np.eye(n)).max())
 
 
 def _checked(witness):
@@ -84,25 +85,46 @@ def _split(a):
     return np.stack([a, -a], axis=2).reshape(a.shape[0], -1)
 
 
+def _rank(sv):
+    """Rank from singular values: those above RANK_TOL * max(1, largest).
+    The capacity search's size bound and the witness's dependence test
+    both use it, so no size the bound allows is refused as dependent."""
+    return int((sv > lp.RANK_TOL * max(1.0, sv[0])).sum())
+
+
 def _polytopic_witness(space, states, n):
-    # variables: the coefficients of effects e_1 .. e_{n-1}, and
-    # e_n = u - sum_i e_i.  Every effect, e_n included, is nonnegative on
-    # the vertices, and e_i takes the value delta_ij on state j for i < n;
-    # e_n(omega_j) = delta_nj then follows from u(omega_j) = 1.  The
-    # coefficients are free, and the LP's variables are >= 0, so each is
-    # posed as c+ - c- in two adjacent columns.
+    # effects e_1 .. e_{n-1} with coefficients c_i, and e_n = u - sum_i e_i.
+    # e_i(omega_j) = delta_ij for i < n is S c_i = delta_i for the n x K
+    # state matrix S; e_n(omega_j) = delta_nj then follows from
+    # u(omega_j) = 1.  If a^T S = 0, applying each e_i gives a_i = 0, so
+    # dependent states (n > K among them) have no witness.  Otherwise
+    # c_i = c0_i + N t_i, with c0 = S^+ delta and N a basis of null(S), and
+    # what is left is that every effect, e_n included, is nonnegative on the
+    # vertices V: V N t_i >= -V c0_i, and -V N sum_i t_i >= -V (u - sum_i c0_i).
+    # For n = K there is no t and the rows are checked at t = 0; otherwise
+    # the t are free and each is posed as t+ - t- in two adjacent columns.
     k, verts = space.ambient_dim, enumerate_vertices(space)
-    a_ub = np.vstack([_block_diagonal(n - 1, verts), np.tile(-verts, n - 1)])
-    prob = lp.LpProblem(
-        n_vars=2 * (n - 1) * k,
-        a_eq=_split(_block_diagonal(n - 1, states)),
-        b_eq=np.eye(n)[:n - 1].ravel(),
-        a_ub=_split(a_ub),
-        b_ub=np.concatenate([np.zeros((n - 1) * len(verts)), -verts @ space.u]))
-    res = lp.solve(prob)
-    if res.status != "optimal":
+    left, sv, right = np.linalg.svd(states)
+    if _rank(sv) < n:
         return None
-    coeffs = (res.x[0::2] - res.x[1::2]).reshape(n - 1, k)
+    c0 = (left[:n - 1] / sv) @ right[:n]
+    b_ub = -np.concatenate([(c0 @ verts.T).ravel(),
+                            verts @ (space.u - c0.sum(axis=0))])
+    if n == k:
+        if b_ub.max() > lp.FEASTOL:
+            return None
+        coeffs = c0
+    else:
+        null = right[n:]  # rows: a basis of null(S)
+        w = verts @ null.T
+        res = lp.solve(lp.LpProblem(
+            n_vars=2 * (n - 1) * (k - n),
+            a_ub=_split(np.vstack([_block_diagonal(n - 1, w), np.tile(-w, n - 1)])),
+            b_ub=b_ub))
+        if res.status != "optimal":
+            return None
+        t = (res.x[0::2] - res.x[1::2]).reshape(n - 1, k - n)
+        coeffs = c0 + t @ null
     effects = [Effect(c) for c in coeffs] + [Effect(space.u - coeffs.sum(axis=0))]
     return _checked(DistinguishabilityWitness(Measurement(tuple(effects)), states))
 
@@ -151,9 +173,12 @@ def capacity(space, candidates=None, n_max=8):
 
     Every candidate is checked to be a state before the search starts
     (``NotAState`` otherwise).  Distinguishable states are linearly
-    independent, so no size above the rank of the candidates is tried;
+    independent, so no size above the rank of the candidates (under the
+    ``RANK_TOL`` rule the witness applies to each subset) is tried;
     ``ScaleLimit`` is raised when a size that is tried has more than
-    ``MAX_SUBSETS`` subsets.
+    ``MAX_SUBSETS`` subsets.  On the vertices of a full-dimensional
+    polytope the first size tried, unless n_max is smaller, is n = K, whose
+    subsets need no LP.
     """
     if n_max < 1:
         raise InvalidArgument("need n_max >= 1")
@@ -174,14 +199,16 @@ def _largest_distinguishable(space, candidates, n_max):
 
     The candidates are checked to be states once, up front.  Since
     e_i(omega_j) = delta_ij makes distinguishable states linearly
-    independent, sizes above the rank of the candidates are not searched.
+    independent, sizes above the rank of the candidates (``_rank``) are not
+    searched.
     Sizes are tried from the largest down and subsets in lexicographic
     order; the first witness found is returned.  Raises ``ScaleLimit``
     when a searched size has more than ``MAX_SUBSETS`` subsets.
     """
     candidates = _valid_states(space, candidates)
     m = candidates.shape[0]
-    for n in range(min(n_max, m, np.linalg.matrix_rank(candidates)), 0, -1):
+    rank = _rank(np.linalg.svd(candidates, compute_uv=False)) if m else 0
+    for n in range(min(n_max, m, rank), 0, -1):
         if comb(m, n) > MAX_SUBSETS:
             raise ScaleLimit("subset search too large")
         for idx in itertools.combinations(range(m), n):

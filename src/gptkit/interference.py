@@ -194,8 +194,15 @@ def sorkin_i3_with_blockers(rho, blockers, q):
 
 def decomposition_residual(rho):
     """Entrywise max of the inclusion-exclusion of the cut states
-    P_I rho P_I over the m = rho.shape[0] slits; zero for m >= 3."""
+    P_I rho P_I over the m = rho.shape[0] slits; zero for m >= 3.
+
+    rho is checked as ``SlitExperiment`` checks it: a square matrix with
+    m < 2 raises ``WrongSlitCount``, m > MAX_SLITS ``ScaleLimit``, and
+    anything but a finite density matrix ``InvalidArgument``."""
     rho = np.asarray(rho, dtype=complex)
-    cut = projector_blockers(rho.shape[0])
-    return float(np.abs(_inclusion_exclusion(
-        lambda sub: cut[sub](rho), rho.shape[0])).max())
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise InvalidArgument("rho must be a square matrix")
+    m = rho.shape[0]
+    rho = SlitExperiment(m, rho, np.eye(m)).rho
+    cut = projector_blockers(m)
+    return float(np.abs(_inclusion_exclusion(lambda sub: cut[sub](rho), m)).max())

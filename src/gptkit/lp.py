@@ -20,8 +20,9 @@ reduced-cost row, the negated sum of the rows that carry an artificial,
 and every pivot is one rank-1 update of the whole tableau, that row
 included.  Artificial columns are not stored: an artificial that leaves
 the basis never re-enters, and phase 1 still ends at zero exactly when the
-system is feasible.  The distinguishability witness LP has b <= 0 on every
-row of ``a_ub``, so only its equalities need artificials.
+system is feasible.  The distinguishability witness LP has no equalities:
+``distinguish`` solves e_i(omega_j) = delta_ij itself and poses only the
+inequalities on what that leaves free.
 
 Infeasible verdicts are certified: phase 1 ends with a Farkas vector
 y = c_B B^{-1} with y^T A <= 0 and y^T b > 0 for the standard-form system.
@@ -86,11 +87,11 @@ _PIVTOL = 1e-10
 MAX_PIVOTS = 10 ** 6
 # Degenerate pivots in a row after which Bland's lowest index enters instead
 # of the most negative reduced cost.  Pivot totals at runs of 1 / 8 / 16 /
-# 32 / 50, against Bland's rule alone from all artificials: 3892 / 3271 /
-# 3246 / 3246 / 3246 (8172) on all perfbench lp_decisions operations of
-# seeds 1-5, 4561 / 2957 / 2267 / 2105 / 2107 (18,498) on
+# 32 / 50: 1211 at every run on all perfbench lp_decisions operations of
+# seeds 1-5, 1146 / 1042 / 1031 / 1031 / 1031 on
 # capacity(max_tensor(gbit, gbit), n_max=4), and 4761 / 4611 / 4611 / 4611 /
-# 4611 (13,695) on degenerate_problem seeds 0-2999 in tests/test_oracles.py.
+# 4611 (13,695 with Bland's rule alone from all artificials) on
+# degenerate_problem seeds 0-2999 in tests/test_oracles.py.
 DEGENERATE_RUN = 32
 
 

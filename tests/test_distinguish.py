@@ -8,7 +8,7 @@ from gptkit.distinguish import (_largest_distinguishable, capacity,
                                 perfectly_distinguishable)
 from gptkit.errors import InvalidArgument, NotAState, NumericalFailure, ScaleLimit
 from gptkit.spaces import (contains_state, make_ball, make_classical, make_gbit,
-                           make_quantum, mat_to_coords)
+                           make_polytopic, make_quantum, mat_to_coords)
 
 from .conftest import polygon
 
@@ -90,19 +90,72 @@ def test_witness_is_valid_measurement():
 
 
 def test_polytopic_witness_is_checked(monkeypatch):
-    # zero effects from the solver miss e_i(omega_j) = delta_ij by 1
+    # a null-space coordinate of 1e12 from the solver rounds c0 + N t far
+    # off e_i(omega_j) = delta_ij (on the pentagon: the gbit's integer
+    # vertices would cancel it exactly)
     monkeypatch.setattr(distinguish.lp, "solve", lambda prob: lp.LpResult(
-        status="optimal", x=np.zeros(prob.n_vars)))
+        status="optimal", x=np.eye(prob.n_vars)[0] * 1e12))
     with pytest.raises(NumericalFailure):
-        perfectly_distinguishable(make_gbit(), make_gbit().vertices[:2])
+        perfectly_distinguishable(polygon(5), polygon(5).vertices[[0, 2]])
+
+
+def test_witness_lp_is_over_the_null_space(monkeypatch):
+    # n states in dimension K leave (K - n) free coordinates per effect
+    # e_1 .. e_{n-1}, each split in two columns; the equalities are solved
+    # before the LP, so it has none
+    rng = np.random.default_rng(3)
+    k = 6
+    space = make_polytopic(np.hstack([rng.uniform(-1, 1, (12, k - 1)),
+                                      np.ones((12, 1))]), np.eye(k)[-1])
+    solves = count_calls(monkeypatch, lp, "solve")
+    for n in range(2, k):
+        perfectly_distinguishable(space, space.vertices[:n])
+        prob = solves[-1][0]
+        assert prob.a_eq is None and prob.b_eq is None
+        assert prob.n_vars == 2 * (n - 1) * (k - n) == prob.a_ub.shape[1]
+    assert len(solves) == k - 2
+
+
+def no_lp(prob):
+    raise AssertionError("an LP was posed")
+
+
+# the gbit's diagonal v0-v2 and its centre, then with the centre moved off
+# the diagonal by less than RANK_TOL
+DIAGONAL = np.vstack([make_gbit().vertices[[0, 2]],
+                      make_gbit().vertices[[0, 2]].mean(axis=0)])
+NEAR_DIAGONAL = DIAGONAL + [[0, 0, 0], [0, 0, 0], [1e-12, 0, 0]]
+
+
+@pytest.mark.parametrize("states", [
+    make_gbit().vertices, make_gbit().vertices[[0, 2, 0]], DIAGONAL,
+    NEAR_DIAGONAL], ids=["n > K", "repeated", "centre", "below RANK_TOL"])
+def test_dependent_states_pose_no_lp(monkeypatch, states):
+    # a^T S = 0 with a != 0 contradicts e_i(omega_j) = delta_ij; the states
+    # are checked first, since the centre's check is an LP of its own
+    g = make_gbit()
+    assert all(contains_state(g, s) for s in states)
+    monkeypatch.setattr(lp, "solve", no_lp)
+    assert distinguish._witness(g, states, len(states)) is None
+
+
+def test_full_rank_subsets_pose_no_lp(monkeypatch):
+    # n = K fixes every effect: the classical basis and the triangle's
+    # vertices are distinguishable, none of the hexagon's triples is
+    monkeypatch.setattr(lp, "solve", no_lp)
+    wit = perfectly_distinguishable(make_classical(5), np.eye(5))
+    assert wit.delta_error() <= 1e-15
+    wit = perfectly_distinguishable(polygon(3), polygon(3).vertices)
+    assert wit.delta_error() <= 1e-12
+    wit.measurement.validate(polygon(3))
+    hexagon = polygon(6)
+    for idx in itertools.combinations(range(6), 3):
+        assert perfectly_distinguishable(hexagon, hexagon.vertices[list(idx)]) is None
 
 
 def test_single_state_needs_no_lp(monkeypatch):
     # one state is told apart by the unit effect alone; a listed vertex also
     # passes its state check without an LP
-    def no_lp(prob):
-        raise AssertionError("an LP was posed")
-
     monkeypatch.setattr(lp, "solve", no_lp)
     space = polygon(5)
     wit = perfectly_distinguishable(space, space.vertices[[2]])
@@ -163,21 +216,35 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_lp_counts(monkeypatch):
-    # exact counts: checking each subset's states again, or searching a
-    # size above the candidates' rank, changes them
+    # exact counts: checking each subset's states again, searching a size
+    # above the candidates' rank, or posing an LP for n = K, changes them
     solves = count_calls(monkeypatch, lp, "solve")
     g = make_gbit()
     assert contains_state(g, g.vertices[1])
     assert len(solves) == 0
     assert capacity(polygon(6)) == 2
-    assert len(solves) == 22  # the 20 triples, then pairs (0, 1) and (0, 2)
+    assert len(solves) == 2  # the 20 triples need none; pairs (0, 1), (0, 2)
     solves.clear()
     assert capacity(make_classical(8)) == 8
-    assert len(solves) == 1
+    assert len(solves) == 0
     solves.clear()
     checks = count_calls(monkeypatch, distinguish, "contains_state")
     assert capacity(g, gbit_with_collinear_mixtures()) == 2
     assert len(checks) == 7  # each candidate once
+
+
+def test_rank_bound_uses_rank_tol(monkeypatch):
+    # numpy's default tolerance finds rank 3 in NEAR_DIAGONAL; RANK_TOL
+    # finds 2, the rank at which the witness still takes subsets, so size 3
+    # is never searched
+    assert np.linalg.matrix_rank(NEAR_DIAGONAL) == 3
+    calls = count_calls(monkeypatch, distinguish, "_witness")
+    assert capacity(make_gbit(), NEAR_DIAGONAL) == 2
+    assert [n for _, _, n in calls] == [2]
+    # moved off by more than RANK_TOL, the triple is searched and refused
+    calls.clear()
+    assert capacity(make_gbit(), DIAGONAL + [[0, 0, 0], [0, 0, 0], [1e-6, 0, 0]]) == 2
+    assert [n for _, _, n in calls] == [3, 2]
 
 
 def test_invalid_candidate_rejected_up_front(monkeypatch):

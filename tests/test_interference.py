@@ -74,6 +74,21 @@ def test_decomposition_residual_zero(rng):
         assert decomposition_residual(random_density(rng, 3)) < 1e-12
 
 
+@pytest.mark.parametrize("rho,error", [
+    (np.ones(3), InvalidArgument),
+    (np.full((3, 3), np.nan), InvalidArgument),
+    (np.ones((3, 4)) / 3, InvalidArgument),
+    (np.eye(2), InvalidArgument),  # trace 2
+    (np.eye(1), WrongSlitCount),
+    (np.eye(12) / 12, ScaleLimit),
+], ids=["1-D", "NaN", "3x4", "trace 2", "one slit", "12 slits"])
+def test_decomposition_residual_validates_rho(rho, error):
+    # before these checks the first two returned 0.0 and nan, the 3 x 4 ended
+    # in numpy's ValueError and 12 slits ran 2^12 - 1 subsets
+    with pytest.raises(error):
+        decomposition_residual(rho)
+
+
 def test_projector_blockers_reproduce_i3(rng):
     rho = random_density(rng, 3)
     q = random_effect_operator(rng, 3)

@@ -92,6 +92,23 @@ def test_distinguishability_matches_highs(seed):
     assert ours == oracle, (seed, ours, oracle)
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_full_rank_subsets_match_highs(monkeypatch, dim):
+    # n = K vertices of a random polytope fix every effect, so the verdict
+    # takes no LP; 60 seeded polytopes per dimension give both verdicts
+    monkeypatch.setattr(lp, "solve", None)  # must not be reached
+    verdicts = []
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        space = random_polytopic_space(rng, dim)
+        nv = space.vertices.shape[0]
+        states = space.vertices[rng.choice(nv, dim, replace=False)]
+        ours = perfectly_distinguishable(space, states) is not None
+        assert ours == scipy_distinguishable(space, states), (dim, seed, ours)
+        verdicts.append(ours)
+    assert any(verdicts) and not all(verdicts)
+
+
 # What a draw changes after the rest is drawn: nothing, nothing, or repeat
 # the first equality row with its rhs (phase 1 then ends with an artificial
 # in the basis at zero).
