@@ -344,4 +344,11 @@ def table_to_json(table):
 
 
 def table_from_json(text):
-    return ProbTable222(json.loads(text)["p"])
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InvalidTable('a table is a JSON object {"p": [16 numbers]}')
+    try:
+        p = np.asarray(doc["p"], dtype=float)
+    except TypeError:  # a JSON object where numbers belong
+        raise InvalidTable("'p' must hold numbers only") from None
+    return ProbTable222(p)

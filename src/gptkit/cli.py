@@ -8,6 +8,13 @@ options it reads; the default of --seed (tsirelson, bloch) is taken from
 the GPTKIT_SEED environment variable (falling back to 0).  ``main``, the
 ``gptkit`` command, runs BLAS on one thread unless the environment already
 sets a thread count; ``run`` leaves the environment alone.
+
+``main`` also ends the process as soon as the answer is out: it flushes
+stdout and stderr and calls ``os._exit``, skipping the interpreter's
+shutdown, so atexit handlers do not run in the command.  Where the
+platform has SIGPIPE, a closed stdout (``gptkit ... | head -c 5``) ends
+the command by that signal, as it ends ``cat``, with nothing on stderr.
+``run`` returns the exit code and does none of this.
 """
 
 import argparse
@@ -48,10 +55,29 @@ def _write(path, text):
             fh.write(text)
 
 
-def _complex_grid(doc):
+def _object(text):
+    """The JSON object in ``text``; any other JSON value is refused."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise GptkitError("the document must be a JSON object")
+    return doc
+
+
+def _floats(value, name):
     import numpy as np
 
-    return np.array([[complex(re, im) for re, im in row] for row in doc])
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError:  # a JSON object where numbers belong
+        raise GptkitError(f"{name} must hold numbers only") from None
+
+
+def _complex(value, name):
+    """Complex numbers written as [re, im] pairs, nested to any depth."""
+    pairs = _floats(value, name)
+    if pairs.ndim == 0 or pairs.shape[-1] != 2:
+        raise GptkitError(f"{name} must hold [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +150,7 @@ def cmd_distinguish(args):
     from . import distinguish, spaces
 
     space = spaces.space_from_json(_read(args.space))
-    states = np.asarray(json.loads(_read(args.states))["states"], dtype=float)
+    states = _floats(_object(_read(args.states))["states"], "states")
     witness = distinguish.perfectly_distinguishable(space, states)
     if witness is None:
         _write(args.output, json.dumps({"distinguishable": False})
@@ -159,16 +185,20 @@ def cmd_compose(args):
 def cmd_sorkin(args):
     from . import interference
 
-    doc = json.loads(_read(args.exp))
-    exp = interference.SlitExperiment(m=int(doc["M"]),
-                                      rho=_complex_grid(doc["rho"]),
-                                      q=_complex_grid(doc["Q"]))
+    doc = _object(_read(args.exp))
+    m = doc["M"]
+    if not (isinstance(m, int) or isinstance(m, float) and m.is_integer()):
+        raise GptkitError("M must be a whole number")
+    exp = interference.SlitExperiment(m=int(m), rho=_complex(doc["rho"], "rho"),
+                                      q=_complex(doc["Q"], "Q"))
     out = {f"I{exp.m}": interference.sorkin(exp)}
     if args.blockers:
-        bdoc = json.loads(_read(args.blockers))
+        subsets = _object(_read(args.blockers))["subsets"]
+        if not isinstance(subsets, dict):
+            raise GptkitError("subsets must map each subset to Kraus operators")
         blockers = {tuple(int(c) for c in key): interference.BlockingMap(
-            tuple(_complex_grid(k) for k in kraus))
-            for key, kraus in bdoc["subsets"].items()}
+            tuple(_complex(kraus, f"subset {key}")))
+            for key, kraus in subsets.items()}
         out[f"I{exp.m}_blockers"] = interference.sorkin(exp, blockers)
     if args.format == "json":
         _write(args.output, json.dumps(out))
@@ -312,13 +342,27 @@ def _emit_error(exc, kind):
 
 
 def main():
+    import signal
+
     # One BLAS thread unless the caller chose a count: the many small
     # products and solves of an LP search only slow down in a thread pool.
     # Set before numpy is first imported; library callers keep numpy's
     # default.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    sys.exit(run())
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes the pipe ends the command, as it ends cat,
+        # instead of being reported as invalid input
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    code = run()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the fd was closed at start-up
+            stream.flush()
+    # The answer is out.  The interpreter's shutdown would now run full
+    # garbage collections over the objects numpy's import made and clear
+    # every module, about 25 ms or an eighth of a call that nothing waits
+    # for; os._exit skips it, atexit handlers included.
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from math import comb
 import numpy as np
 
 from . import lp
-from .errors import (InvalidArgument, NotAState, NumericalFailure, ScaleLimit,
-                     UnsupportedKind)
+from .errors import (DimensionMismatch, InvalidArgument, NotAState,
+                     NumericalFailure, ScaleLimit, UnsupportedKind)
 from .spaces import (Effect, Measurement, _with_vertices, coords_to_mat,
                      contains_state, enumerate_vertices, mat_to_coords)
 
@@ -44,6 +44,8 @@ def _checked(witness):
 
 def perfectly_distinguishable(space, states):
     """Witness measurement for joint perfect distinguishability, or None."""
+    if np.ndim(states) == 0:
+        raise DimensionMismatch("states must be a list of state vectors")
     if len(states) == 0:
         raise InvalidArgument("need at least one state")
     states = _valid_states(space, states)

@@ -504,17 +504,33 @@ def space_to_json(space):
 
 
 def _space_from_doc(doc):
+    if not isinstance(doc, dict):
+        raise InvalidArgument("a space is a JSON object")
     kind = doc["kind"]
-    if kind == "quantum":
-        return make_quantum(int(doc["N"]))
-    if kind == "ball":
-        return make_ball(int(doc["d"]))
+    if kind in ("quantum", "ball"):
+        key = "N" if kind == "quantum" else "d"
+        n = doc[key]
+        if not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
+            raise InvalidArgument(f"{key!r} must be a whole number")
+        return (make_quantum if kind == "quantum" else make_ball)(int(n))
     if kind not in ("polytopic", "min", "max"):
         raise InvalidArgument(f"unknown state-space kind {kind!r}")
-    return StateSpace(kind="polytopic", ambient_dim=len(doc["u"]), u=doc["u"],
-                      vertices=doc.get("vertices"), ineqs=doc.get("ineqs"),
-                      factors=doc.get("factors") and tuple(
-                          map(_space_from_doc, doc["factors"])))
+    factors = doc.get("factors")
+    if factors is not None and not isinstance(factors, list):
+        raise InvalidArgument("'factors' must be a list of spaces")
+    u = _floats(doc["u"], "u")
+    return StateSpace(kind="polytopic", ambient_dim=np.size(u), u=u,
+                      vertices=_floats(doc.get("vertices"), "vertices"),
+                      ineqs=_floats(doc.get("ineqs"), "ineqs"),
+                      factors=factors and tuple(map(_space_from_doc, factors)))
+
+
+def _floats(value, name):
+    """A JSON value as a float array, None as None."""
+    try:
+        return None if value is None else np.asarray(value, dtype=float)
+    except TypeError:  # a JSON object where numbers belong
+        raise InvalidArgument(f"{name!r} must hold numbers only") from None
 
 
 def space_from_json(text):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -478,3 +479,104 @@ def test_library_call_leaves_blas_threads_alone(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, ["prbox"])
     assert code == 0
     assert not set(BLAS_VARS) & set(os.environ)
+
+
+# Documents of the wrong shape, each refused as invalid input rather than
+# ending in a traceback.
+E2 = {"M": 2, "rho": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+      "Q": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+WRONG_SHAPES = {
+    "sorkin-number": (["sorkin", "--exp", "-"], 5),
+    "sorkin-number-grids": (["sorkin", "--exp", "-"],
+                            {"M": 3, "rho": 5, "Q": 5}),
+    "blockers-number": (["sorkin", "--exp", "{e2}", "--blockers", "-"],
+                        {"subsets": 5}),
+    "blockers-number-kraus": (["sorkin", "--exp", "{e2}", "--blockers", "-"],
+                              {"subsets": {"1": 5}}),
+    "chsh-list": (["chsh", "--table", "-"], [1, 2]),
+    "distinguish-number": (["distinguish", "--space", "{gbit}",
+                            "--states", "-"], {"states": 3}),
+    "compose-list": (["compose", "--a", "-", "--b", "{gbit}",
+                      "--kind", "min"], [1]),
+    "compose-string": (["compose", "--a", "-", "--b", "{gbit}",
+                        "--kind", "min"], "x"),
+    "compose-number-u": (["compose", "--a", "-", "--b", "{gbit}",
+                          "--kind", "min"],
+                         {"kind": "polytopic", "u": 5, "vertices": [[1]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_wrong_shape_document_is_invalid_input(capsys, tmp_path, case):
+    (tmp_path / "e2.json").write_text(json.dumps(E2))
+    (tmp_path / "gbit.json").write_text(spaces.space_to_json(spaces.make_gbit()))
+    argv, doc = WRONG_SHAPES[case]
+    argv = [a.format(e2=tmp_path / "e2.json", gbit=tmp_path / "gbit.json")
+            for a in argv]
+    code, out, err = run_cli(capsys, argv, stdin=json.dumps(doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "invalid_input"
+
+
+def cli_process(argv, cwd, **kwargs):
+    """``python -m gptkit.cli`` with ``argv``, run from ``cwd``, its stdout
+    buffered: what the command leaves in a buffer is lost unless it flushes
+    before os._exit."""
+    src = str(Path(gptkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.Popen([sys.executable, "-m", "gptkit.cli", *argv],
+                            cwd=cwd, env=env, **kwargs)
+
+
+# min tensor product of two 40-gons: 273,827 bytes of stdout, more than a
+# pipe holds, so the command is still writing when its reader acts
+BIG_COMPOSE = ["compose", "--a", "p40.json", "--b", "p40.json", "--kind", "min"]
+
+
+@pytest.fixture
+def p40(tmp_path):
+    (tmp_path / "p40.json").write_text(spaces.space_to_json(polygon(40)))
+    return tmp_path
+
+
+def test_process_stdout_is_run_stdout(capsys, p40, monkeypatch):
+    monkeypatch.chdir(p40)
+    code, expected, _ = run_cli(capsys, BIG_COMPOSE)
+    assert code == 0 and len(expected) > 1 << 16
+    proc = cli_process(BIG_COMPOSE, p40, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b""
+    assert out == expected.encode()
+    proc = cli_process(BIG_COMPOSE + ["--output", "out.json"], p40,
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.communicate(timeout=60) == (b"", b"") and proc.returncode == 0
+    assert (p40 / "out.json").read_text() == expected.rstrip("\n")
+
+
+@pytest.mark.parametrize("argv, code, kind", [
+    (["prbox", "--variant", "7"], 1, "invalid_input"),
+    (["compose", "--a", "c11.json", "--b", "c11.json", "--kind", "max"], 2,
+     "scale_limit"),
+], ids=["invalid", "scale"])
+def test_process_exit_code_and_error_line(tmp_path, argv, code, kind):
+    (tmp_path / "c11.json").write_text(
+        spaces.space_to_json(spaces.make_classical(11)))
+    proc = cli_process(argv, tmp_path, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == code and out == ""
+    assert json.loads(err)["error"] == kind
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="needs SIGPIPE")
+def test_closed_stdout_ends_the_command_by_sigpipe(p40):
+    proc = cli_process(BIG_COMPOSE, p40, stdout=subprocess.PIPE,
+                       stderr=subprocess.PIPE)
+    assert proc.stdout.read(5) == b'{"kin'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

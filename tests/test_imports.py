@@ -37,11 +37,15 @@ OLD_NAMES = OLD_SUBMODULES + [n for names in OLD_EXPORTS.values() for n in names
 # Runs the CLI as ``python -m gptkit.cli`` would, with the arguments given,
 # and prints the gptkit submodules loaded by the end to stderr.  (``-X
 # importtime`` would miss those loaded through the package __getattr__.)
+# The command ends by os._exit, which runs no atexit hook, so the list is
+# printed from a wrapper around it.
 MODULES_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules
-                                      if m.startswith("gptkit.")),
-                              file=sys.stderr))
+import os, runpy, sys
+def exit_listing_modules(code, _exit=os._exit):
+    print(*sorted(m for m in sys.modules if m.startswith("gptkit.")),
+          file=sys.stderr, flush=True)
+    _exit(code)
+os._exit = exit_listing_modules
 sys.argv[0] = "gptkit"
 runpy.run_module("gptkit.cli", run_name="__main__")
 """
