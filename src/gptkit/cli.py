@@ -194,11 +194,12 @@ def cmd_sorkin(args):
     out = {f"I{exp.m}": interference.sorkin(exp)}
     if args.blockers:
         subsets = _object(_read(args.blockers))["subsets"]
-        if not isinstance(subsets, dict):
-            raise GptkitError("subsets must map each subset to Kraus operators")
+        if not isinstance(subsets, dict) or not all(
+                isinstance(ops, list) for ops in subsets.values()):
+            raise GptkitError("subsets must map to lists of Kraus operators")
         blockers = {tuple(int(c) for c in key): interference.BlockingMap(
-            tuple(_complex(kraus, f"subset {key}")))
-            for key, kraus in subsets.items()}
+            tuple(_complex(k, f"subset {key}") for k in ops))
+            for key, ops in subsets.items()}
         out[f"I{exp.m}_blockers"] = interference.sorkin(exp, blockers)
     if args.format == "json":
         _write(args.output, json.dumps(out))

@@ -73,20 +73,6 @@ def _witness(space, states, n):
     raise UnsupportedKind(space.kind)
 
 
-def _block_diagonal(n, block):
-    """np.kron(np.eye(n), block) by broadcasting, which skips most of
-    kron's per-call overhead on blocks this small."""
-    rows, cols = block.shape
-    grid = np.eye(n)[:, None, :, None] * block[:, None]
-    return grid.reshape(n * rows, n * cols)
-
-
-def _split(a):
-    """``a`` over free variables c, rewritten over c+, c- >= 0 with
-    c = c+ - c-: column j becomes columns 2j (a_j) and 2j + 1 (-a_j)."""
-    return np.stack([a, -a], axis=2).reshape(a.shape[0], -1)
-
-
 def _rank(sv):
     """Rank from singular values: those above RANK_TOL * max(1, largest).
     The capacity search's size bound and the witness's dependence test
@@ -104,7 +90,8 @@ def _polytopic_witness(space, states, n):
     # what is left is that every effect, e_n included, is nonnegative on the
     # vertices V: V N t_i >= -V c0_i, and -V N sum_i t_i >= -V (u - sum_i c0_i).
     # For n = K there is no t and the rows are checked at t = 0; otherwise
-    # the t are free and each is posed as t+ - t- in two adjacent columns.
+    # the t are free and each is posed as t+ - t- in two adjacent columns,
+    # the last axis of the rows' (n, V, n - 1, K - n, 2) array.
     k, verts = space.ambient_dim, enumerate_vertices(space)
     left, sv, right = np.linalg.svd(states)
     if _rank(sv) < n:
@@ -119,10 +106,12 @@ def _polytopic_witness(space, states, n):
     else:
         null = right[n:]  # rows: a basis of null(S)
         w = verts @ null.T
-        res = lp.solve(lp.LpProblem(
-            n_vars=2 * (n - 1) * (k - n),
-            a_ub=_split(np.vstack([_block_diagonal(n - 1, w), np.tile(-w, n - 1)])),
-            b_ub=b_ub))
+        a_ub = np.empty((n, len(verts), n - 1, k - n, 2))
+        np.multiply(np.eye(n - 1)[:, None, :, None], w[:, None], out=a_ub[:-1, ..., 0])
+        a_ub[-1, ..., 0] = -w[:, None]
+        np.negative(a_ub[..., 0], out=a_ub[..., 1])
+        res = lp.solve(lp.LpProblem(n_vars=2 * (n - 1) * (k - n),
+                                    a_ub=a_ub.reshape(len(b_ub), -1), b_ub=b_ub))
         if res.status != "optimal":
             return None
         t = (res.x[0::2] - res.x[1::2]).reshape(n - 1, k - n)
@@ -197,16 +186,9 @@ def capacity(space, candidates=None, n_max=8):
 
 def _largest_distinguishable(space, candidates, n_max):
     """Witness for a largest perfectly distinguishable subset of at most
-    n_max candidates, or None.
-
-    The candidates are checked to be states once, up front.  Since
-    e_i(omega_j) = delta_ij makes distinguishable states linearly
-    independent, sizes above the rank of the candidates (``_rank``) are not
-    searched.
-    Sizes are tried from the largest down and subsets in lexicographic
-    order; the first witness found is returned.  Raises ``ScaleLimit``
-    when a searched size has more than ``MAX_SUBSETS`` subsets.
-    """
+    n_max candidates, or None, by the search ``capacity`` describes: sizes
+    from the largest down, subsets in lexicographic order, the first
+    witness found returned."""
     candidates = _valid_states(space, candidates)
     m = candidates.shape[0]
     rank = _rank(np.linalg.svd(candidates, compute_uv=False)) if m else 0

@@ -97,8 +97,9 @@ def sorkin(exp, blockers=None):
     if blockers is None:
         return _inclusion_exclusion(lambda sub: click_probability(exp, sub),
                                     exp.m)
-    if set(blockers) != set(_subsets(exp.m)):
-        raise InvalidKraus("need one blocker per open-slit subset, no other")
+    if set(blockers) != set(_subsets(exp.m)) or any(
+            len(b.kraus[0]) != exp.m for b in blockers.values()):
+        raise InvalidKraus("need one m x m blocker per open-slit subset, no other")
     return _inclusion_exclusion(
         lambda sub: float(np.trace(blockers[sub](exp.rho) @ exp.q).real), exp.m)
 
@@ -127,6 +128,8 @@ class BlockingMap:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not ops or not all(np.isfinite(k).all() for k in ops):
             raise InvalidKraus("need one or more finite Kraus operators")
+        if ops[0].ndim != 2 or any(k.shape != (len(ops[0]),) * 2 for k in ops):
+            raise InvalidKraus("Kraus operators must be square matrices of one size")
         total = sum(k.conj().T @ k for k in ops)
         if np.linalg.eigvalsh(total).max() > 1.0 + FEASTOL:
             raise InvalidKraus("sum K^dag K exceeds the identity")

@@ -12,14 +12,14 @@ exceed a few hundred variables.
 
 The one standard form is A z = b, z >= 0: the rows of ``a_eq``, then the
 rows of ``a_ub`` with one surplus column each, all flipped so that b >= 0.
-A row of ``a_ub`` with b <= 0 is negated so that its surplus column has
-+1, and that surplus starts in the basis (the slack start); every other
-row starts from an artificial.  A membership LP over k vertices in
-dimension K is thus a (K + 1) x k tableau.  Below [A | b] sits the phase-1
-reduced-cost row, the negated sum of the rows that carry an artificial,
-and every pivot is one rank-1 update of the whole tableau, that row
-included.  Artificial columns are not stored: an artificial that leaves
-the basis never re-enters, and phase 1 still ends at zero exactly when the
+A flipped ``a_ub`` row (b <= 0) starts from its surplus, which then has
++1 (the slack start); every other row starts from an artificial.  A
+membership LP over k vertices in dimension K is thus a (K + 1) x k
+tableau.  Below [A | b] sits the phase-1 reduced-cost row, the negated sum
+of the rows that carry an artificial; the tableau is one array filled
+through views and masks, and every pivot is one rank-1 update of all of
+it.  Artificial columns are not stored: an artificial that leaves the
+basis never re-enters, and phase 1 still ends at zero exactly when the
 system is feasible.  The distinguishability witness LP has no equalities:
 ``distinguish`` solves e_i(omega_j) = delta_ij itself and poses only the
 inequalities on what that leaves free.
@@ -111,23 +111,25 @@ class LpProblem:
     b_ub: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.n_vars
-        if n < 1:
+        if self.n_vars < 1:
             raise DimensionMismatch("need at least one variable")
-        for name in ("eq", "ub"):
-            a = getattr(self, "a_" + name)
-            b = getattr(self, "b_" + name)
-            if (a is None) != (b is None):
-                raise DimensionMismatch(f"a_{name}/b_{name} must be given together")
-            if a is not None:
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-                b = np.atleast_1d(np.asarray(b, dtype=float))
-                if a.shape[1] != n or a.shape[0] != b.shape[0]:
-                    raise DimensionMismatch(f"a_{name} shape {a.shape} inconsistent")
-                if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                    raise InvalidArgument(f"a_{name}/b_{name} has a non-finite entry")
-                setattr(self, "a_" + name, a)
-                setattr(self, "b_" + name, b)
+        self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, self.n_vars, "eq")
+        self.a_ub, self.b_ub = _rows(self.a_ub, self.b_ub, self.n_vars, "ub")
+
+
+def _rows(a, b, n, name):
+    """(a, b) as finite float rows of length n and one entry each, or None."""
+    if (a is None) != (b is None):
+        raise DimensionMismatch(f"a_{name}/b_{name} must be given together")
+    if a is None:
+        return None, None
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = a if a.ndim > 1 else a.reshape(1, -1), b if b.ndim else b.reshape(1)
+    if a.shape[1] != n or a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"a_{name} shape {a.shape} inconsistent")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidArgument(f"a_{name}/b_{name} has a non-finite entry")
+    return a, b
 
 
 @dataclass(eq=False)
@@ -168,7 +170,7 @@ def _phase1(tab, basis):
     pivot row; the artificial sum then decides feasibility.
     """
     m = tab.shape[0] - 1
-    reduced = tab[m, :-1]
+    reduced, rhs = tab[m, :-1], tab[:m, -1]
     degenerate = 0
     for pivots in range(MAX_PIVOTS):
         if degenerate < DEGENERATE_RUN:
@@ -181,24 +183,17 @@ def _phase1(tab, basis):
         rows = (col > _PIVTOL).nonzero()[0]
         if rows.size == 0:
             return pivots
-        ratios = tab[rows, -1] / col[rows]
+        ratios = rhs[rows] / col[rows]
         tied = rows[ratios <= ratios.min() + _PIVTOL]
-        r = tied[basis[tied].argmin()]  # Bland: lowest basis index leaves
-        degenerate = degenerate + 1 if tab[r, -1] <= _PIVTOL else 0
+        r = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]  # Bland
+        degenerate = degenerate + 1 if rhs[r] <= _PIVTOL else 0
         _pivot(tab, basis, r, j)
     raise NumericalFailure("simplex iteration cap exceeded")
 
 
 def _standard_form(prob):
-    """Phase-1 tableau of A z = b, z >= 0, and its starting basis.
-
-    The rows are those of ``a_eq``, then those of ``a_ub`` with one surplus
-    column each.  Rows of ``a_eq`` with b < 0 and rows of ``a_ub`` with
-    b <= 0 are negated (``flip``); the surplus of such an ``a_ub`` row then
-    has +1 and starts in the basis, and every other row starts from an
-    artificial.  Returns (tab, basis, flip), where ``tab`` is [A | b] with
-    the phase-1 reduced-cost row of that basis below it.
-    """
+    """(tab, basis, flip) for A z = b, z >= 0 as the module docstring lays
+    out: [A | b] over its phase-1 cost row, the starting basis, the flips."""
     n = prob.n_vars
     m_eq = 0 if prob.a_eq is None else prob.a_eq.shape[0]
     m_ub = 0 if prob.a_ub is None else prob.a_ub.shape[0]
@@ -210,7 +205,7 @@ def _standard_form(prob):
     if m_ub:
         tab[m_eq:m, :n] = prob.a_ub
         tab[m_eq:m, -1] = prob.b_ub
-        tab[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = -1.0
+        np.fill_diagonal(tab[m_eq:m, n:-1], -1.0)
 
     # the a_ub rows with b <= 0 start from their surplus, column
     # n + row - m_eq; every other row from an artificial, n + m_ub + row
@@ -219,9 +214,11 @@ def _standard_form(prob):
     basis[slack] = n - m_eq + slack
     flip = tab[:m, -1] < 0
     flip[slack] = True
-    tab[:m][flip] *= -1.0
-    # phase 1: minimise the sum of the artificials in the basis
-    tab[m] = -tab[:m][basis >= n + m_ub].sum(axis=0)
+    np.negative(tab[:m], out=tab[:m], where=flip[:, None])
+    # phase 1: minimise the sum of the artificials in the basis; the masked
+    # sum adds their rows in order from 0.0, as a sum of the rows taken out would
+    art = basis >= n + m_ub
+    np.negative(np.add.reduce(tab[:m], axis=0, where=art[:, None]), out=tab[m])
     return tab, basis, flip
 
 
@@ -264,14 +261,15 @@ def solve(prob: LpProblem) -> LpResult:
 
 
 def _check_feasible(prob, x):
-    tol = FEASTOL * max(1.0, float(np.abs(x).max()))
+    lo = x.min()
+    tol = FEASTOL * max(1.0, float(x.max()), float(-lo))
     if prob.a_eq is not None:
         if np.abs(prob.a_eq @ x - prob.b_eq).max() > tol:
             raise NumericalFailure("equality residual above tolerance")
     if prob.a_ub is not None:
         if (prob.a_ub @ x - prob.b_ub).min() < -tol:
             raise NumericalFailure("inequality violated above tolerance")
-    if not x.min() >= -tol:
+    if not lo >= -tol:
         raise NumericalFailure("x >= 0 violated above tolerance")
 
 
@@ -279,23 +277,30 @@ def hull_weights(points, x):
     """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when x is
     outside the convex hull of the rows of ``points``.
 
-    Every None is certified by a Farkas vector y for [points^T; 1^T] w =
-    [x; 1].  The first tried, before any LP, is the centroid ray: with
-    d = x - mean(points) and top = max(points @ d), y = (d, -top) scaled
-    to unit 1-norm has y.A <= 0 by construction, and y.b is the margin by
-    which the plane d.z = top separates x from the points.  If that margin
-    is not above CERT_TOL (x inside, or only another plane separates), the
-    LP decides, and its own certificate backs a None.  The guess never
-    contradicts the LP: LP weights leave residuals within FEASTOL, so they
-    would bound y.b by FEASTOL < CERT_TOL.
+    ``points`` must be 2-D and x a vector of length points.shape[1]
+    (``DimensionMismatch``); ``LpProblem`` checks [points^T; 1^T] and
+    [x; 1] before the guess below.  Every None is certified by a Farkas
+    vector y for [points^T; 1^T] w = [x; 1].  The first tried, before any
+    LP, is the centroid ray: with d = x - mean(points) and
+    top = max(points @ d), y = (d, -top) scaled to unit 1-norm has
+    y.A <= 0 by construction, and y.b is the margin by which the plane
+    d.z = top separates x from the points.  If that margin is not above
+    CERT_TOL (x inside, or only another plane separates), the LP decides,
+    and its own certificate backs a None.  The guess never contradicts the
+    LP: LP weights leave residuals within FEASTOL, so they would bound y.b
+    by FEASTOL < CERT_TOL.
     """
-    k = points.shape[0]
-    prob = LpProblem(n_vars=k, a_eq=np.vstack([points.T, np.ones(k)]),
-                     b_eq=np.concatenate([x, [1.0]]))
-    d = prob.b_eq[:-1] - prob.a_eq[:-1].mean(axis=1)
-    y = np.append(d, -(d @ prob.a_eq[:-1]).max())
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or np.ndim(x) != 1 or len(x) != points.shape[1]:
+        raise DimensionMismatch("need points as rows, x as a vector as long")
+    k, dim = points.shape
+    a_eq, b_eq, y = np.ones((dim + 1, k)), np.ones(dim + 1), np.empty(dim + 1)
+    a_eq[:-1], b_eq[:-1] = points.T, x
+    prob = LpProblem(n_vars=k, a_eq=a_eq, b_eq=b_eq)
+    y[:-1] = b_eq[:-1] - a_eq[:-1].sum(axis=1) / k  # bitwise mean(axis=1)
+    y[-1] = -(y[:-1] @ a_eq[:-1]).max()
     norm = np.abs(y).sum()
-    if norm > 0 and _refutes(y / norm, prob.a_eq, prob.b_eq):
+    if norm > 0 and _refutes(y / norm, a_eq, b_eq):
         return None
     res = solve(prob)
     return res.x if res.status == "optimal" else None

@@ -192,6 +192,49 @@ def test_sorkin_four_slits(capsys, tmp_path):
     assert list(doc) == ["I4"] and abs(doc["I4"]) <= 1e-12
 
 
+MALFORMED = "Kraus operators must be square matrices of one size"
+
+
+@pytest.mark.parametrize("kraus, message", [
+    ([[1, 0]], MALFORMED),
+    ([grid(np.eye(2) / 2), grid(np.eye(3) / 2)], MALFORMED),
+    (5, "subsets must map to lists of Kraus operators"),
+], ids=["0-d operator", "2x2 among 3x3", "not a list"])
+def test_sorkin_refuses_malformed_kraus(capsys, tmp_path, kraus, message):
+    argv = sorkin_argv(tmp_path, 3, np.eye(3) / 3, np.eye(3))
+    blockers = tmp_path / "bad.json"
+    blockers.write_text(json.dumps({"subsets": {"1": kraus}}))
+    code, out, err = run_cli(capsys, argv + ["--blockers", str(blockers)])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "invalid_input", "message": message}
+
+
+def test_sorkin_refuses_blockers_of_another_size(capsys, tmp_path):
+    argv = sorkin_argv(tmp_path, 2, *SORKIN_M2,
+                       interference.projector_blockers(2))
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({"M": 3, "rho": grid(np.eye(3) / 3),
+                               "Q": grid(np.eye(3))}))
+    subsets = {"".join(map(str, s)): [grid(np.eye(2) / 2)]
+               for s in interference.projector_blockers(3)}
+    (tmp_path / "blockers.json").write_text(json.dumps({"subsets": subsets}))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "invalid_input", "message":
+                               "need one m x m blocker per open-slit subset, no other"}
+
+
+def test_quantum_space_above_the_scale_limit_exit_code(capsys, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"kind": "quantum", "N": 100}))
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps({"states": [[1.0]]}))
+    code, out, err = run_cli(capsys, ["distinguish", "--space", str(space),
+                                      "--states", str(states)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "scale_limit"
+
+
 def test_sorkin_too_many_slits_exit_code(capsys, tmp_path):
     argv = sorkin_argv(tmp_path, 10, np.eye(10) / 10, np.eye(10))
     code, out, err = run_cli(capsys, argv)

@@ -267,3 +267,33 @@ def test_scale_limit_only_on_searched_sizes():
     mixtures = np.random.default_rng(0).dirichlet(np.ones(8), size=30)
     with pytest.raises(ScaleLimit):
         capacity(c8, np.vstack([c8.vertices, mixtures]))
+
+
+def _reference_witness_rows(n, w):
+    """The witness's a_ub as it was built from blocks: diag(w, ..., w) over
+    n - 1 effects stacked on the row of -w, then each free column c split
+    into c+ (a_j) and c- (-a_j)."""
+    rows, cols = w.shape
+    block = (np.eye(n - 1)[:, None, :, None] * w[:, None]).reshape(
+        (n - 1) * rows, (n - 1) * cols)
+    a = np.vstack([block, np.tile(-w, n - 1)])
+    return np.stack([a, -a], axis=2).reshape(a.shape[0], -1)
+
+
+def test_witness_rows_match_block_construction(monkeypatch):
+    # bit for bit, signed zeros included, on seeded polytopes and subsets
+    posed = []
+    monkeypatch.setattr(lp, "solve", lambda prob: posed.append(prob) or
+                        lp.LpResult(status="infeasible"))
+    rng = np.random.default_rng(8)
+    for k in (3, 4, 5, 6):
+        space = make_polytopic(np.hstack([rng.uniform(-1, 1, (2 * k + 2, k - 1)),
+                                          np.ones((2 * k + 2, 1))]), np.eye(k)[-1])
+        for n in range(2, k):
+            states = space.vertices[rng.choice(len(space.vertices), n, replace=False)]
+            assert distinguish._witness(space, states, n) is None
+            null = np.linalg.svd(states)[2][n:]
+            want = _reference_witness_rows(n, space.vertices @ null.T)
+            got = posed[-1].a_ub
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(posed) == 1 + 2 + 3 + 4

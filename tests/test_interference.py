@@ -214,3 +214,22 @@ def test_depolarizing_strength_at_bound_is_valid():
     blockers = depolarize_then_project(9 / 16)
     assert sorted(blockers) == sorted(projector_blockers(3))
     assert abs(sorkin_i3_with_blockers(rho, blockers, rho)) > 1e-6
+
+
+@pytest.mark.parametrize("kraus", [
+    (np.complex128(1.0),), (np.array([1.0, 0.0]),), (np.ones((2, 3)) / 3,),
+    (np.eye(3) / 2, np.eye(2) / 2), (np.zeros((2, 2, 2)),)],
+    ids=["0-d", "1-d", "not square", "two sizes", "3-d"])
+def test_kraus_operators_are_square_of_one_size(kraus):
+    with pytest.raises(InvalidKraus, match="square matrices of one size"):
+        BlockingMap(kraus)
+
+
+def test_blockers_must_match_the_slit_count(rng):
+    exp = random_experiment(rng, 3)
+    small = {s: BlockingMap((np.eye(2) / 2,)) for s in projector_blockers(3)}
+    with pytest.raises(InvalidKraus, match="one m x m blocker"):
+        sorkin(exp, small)
+    big = {s: BlockingMap((np.eye(4) / 2,)) for s in projector_blockers(3)}
+    with pytest.raises(InvalidKraus, match="one m x m blocker"):
+        sorkin(exp, big)

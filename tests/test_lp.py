@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -319,3 +320,100 @@ def test_hull_shortcut_guards():
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(InvalidArgument, match="non-finite"):
                 lp.hull_weights(points, np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("points, x", [
+    (np.zeros((4, 3)), np.zeros((3, 1))),
+    (np.zeros((4, 3)), "abc"),
+    (np.zeros((4, 3)), np.zeros(2)),
+    (np.zeros((4, 3)), 0.0),
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((2, 4, 3)), np.zeros(3)),
+], ids=["x 2-d", "x string", "x too short", "x scalar", "points 1-d",
+        "points 3-d"])
+def test_hull_weights_shape_errors(points, x):
+    with pytest.raises(DimensionMismatch):
+        lp.hull_weights(points, x)
+
+
+def _reference_standard_form(prob):
+    """The standard form as it was built by fancy indexing: the surplus
+    diagonal, the flips and the artificial row."""
+    n = prob.n_vars
+    m_eq = 0 if prob.a_eq is None else prob.a_eq.shape[0]
+    m_ub = 0 if prob.a_ub is None else prob.a_ub.shape[0]
+    m = m_eq + m_ub
+    tab = np.zeros((m + 1, n + m_ub + 1))
+    if m_eq:
+        tab[:m_eq, :n] = prob.a_eq
+        tab[:m_eq, -1] = prob.b_eq
+    if m_ub:
+        tab[m_eq:m, :n] = prob.a_ub
+        tab[m_eq:m, -1] = prob.b_ub
+        tab[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = -1.0
+    slack = m_eq + np.flatnonzero(tab[m_eq:m, -1] <= 0)
+    basis = np.arange(n + m_ub, n + m_ub + m)
+    basis[slack] = n - m_eq + slack
+    flip = tab[:m, -1] < 0
+    flip[slack] = True
+    tab[:m][flip] *= -1.0
+    tab[m] = -tab[:m][basis >= n + m_ub].sum(axis=0)
+    return tab, basis, flip
+
+
+def _seeded_problems(count, seed):
+    """Equality-only, inequality-only and mixed problems, by turns, with
+    normal or small-integer rows and right-hand sides of either sign, 0.0
+    and -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        fields = {}
+        for name, present, rows in (("eq", i % 3 != 1, int(rng.integers(1, 5))),
+                                    ("ub", i % 3 != 0, int(rng.integers(1, 12)))):
+            if not present:
+                continue
+            a = (rng.integers(-3, 4, size=(rows, n)).astype(float) if i % 5 == 0
+                 else rng.normal(size=(rows, n)))
+            # a feasible b by numpy's own sum, not BLAS, so that every build
+            # poses the same problems
+            b = (a * rng.uniform(size=n)).sum(axis=1) if i % 2 else rng.normal(size=rows)
+            b[rng.uniform(size=rows) < 0.25] = 0.0
+            b[rng.uniform(size=rows) < 0.1] = -0.0
+            fields.update({"a_" + name: a, "b_" + name: b})
+        yield lp.LpProblem(n_vars=n, **fields)
+
+
+def test_standard_form_matches_reference():
+    # bit for bit, signed zeros included: the tableau, basis and flips
+    mixes = set()
+    for prob in _seeded_problems(600, 5):
+        got, want = lp._standard_form(prob), _reference_standard_form(prob)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        mixes.add((prob.a_eq is not None, prob.a_ub is not None,
+                   bool(got[2].any()), bool((~got[2]).any())))
+    assert len(mixes) >= 6
+
+
+# computed when the tableau was still built as in _reference_standard_form
+INFEASIBLE_PINNED, PIVOTS_PINNED, DIGEST_PINNED = 512, 2517, "a45b22baf0701714"
+
+
+def test_pinned_pivots_and_results():
+    # the pivots and the primal results of a seeded LP set, pinned; a change
+    # to the standard form or to the pivot rules moves them.  Certificates
+    # come from LAPACK's solve, which may round differently across builds,
+    # so only their count is pinned (each is validated inside solve).
+    digest, pivots, statuses = hashlib.sha256(), 0, []
+    for prob in _seeded_problems(1000, 7):
+        res = lp.solve(prob)
+        pivots += res.pivots
+        statuses.append(res.status)
+        digest.update(res.status.encode())
+        if res.x is not None:
+            digest.update(res.x.tobytes())
+    assert statuses.count("infeasible") == INFEASIBLE_PINNED
+    assert pivots == PIVOTS_PINNED
+    assert digest.hexdigest()[:16] == DIGEST_PINNED

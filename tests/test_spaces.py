@@ -7,7 +7,7 @@ import pytest
 from gptkit import bell, geometry, spaces
 from gptkit.composites import enumerate_vertices, max_tensor, min_tensor
 from gptkit.errors import (DimensionMismatch, InvalidArgument, NotAState,
-                           SingularMap)
+                           ScaleLimit, SingularMap)
 from gptkit.spaces import (Effect, LinearMap, Measurement, are_equivalent,
                            contains_state, coords_to_mat, hermitian_basis,
                            is_effect, is_pure, is_reversible_transformation,
@@ -491,3 +491,27 @@ def test_equality_is_identity_and_objects_hash():
     m = Measurement((e,))
     t = LinearMap(np.eye(3))
     assert len({e, m, t}) == 3 and e == e and m != Measurement((e,))
+
+
+def test_quantum_scale_limit_allocates_nothing_large():
+    # just above the limit every path that would build the N^4 basis
+    # refuses first; the basis alone would take 16 N^4 bytes.  make_quantum
+    # refuses before its np.eye(N), whose 8e18 bytes at N = 10^9 no address
+    # space holds.
+    import tracemalloc
+
+    n = spaces.MAX_HILBERT_DIM + 1
+    calls = (lambda: make_quantum(n), lambda: make_quantum(10 ** 9),
+             lambda: hermitian_basis(n),
+             lambda: coords_to_mat(np.zeros(n * n)),
+             lambda: mat_to_coords(np.eye(n)),
+             lambda: space_from_json(json.dumps({"kind": "quantum", "N": n})))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ScaleLimit, match="above"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 < 16 * n ** 4
