@@ -137,13 +137,22 @@ def classify_ns_vertex(table, tol=DEDUP_TOL):
     return "other"
 
 
+@lru_cache(maxsize=1)
+def _local_hull():
+    """The 16 deterministic tables as one ``lp.Hull``, built on first use."""
+    return lp.Hull(_DET)
+
+
 def classical_membership(table):
     """Hidden-variable decomposition over the 16 deterministic tables, or
     None, certified by a Farkas vector (a Bell inequality the table
-    violates).  ``lp.hull_weights`` tries its centroid-ray Farkas vector
+    violates).  ``lp.Hull.weights`` tries its centroid-ray Farkas vector
     first, which refutes the 8 PR boxes, and many other nonlocal tables,
-    without an LP."""
-    weights = lp.hull_weights(_DET, table.p)
+    without an LP; then the least-norm weights, which decompose most
+    tables well inside the local polytope without an LP.  The weights are
+    then that dense least-norm decomposition, not a vertex of the LP's
+    feasible set; either way the model is checked to rebuild the table."""
+    weights = _local_hull().weights(table.p)
     if weights is None:
         return None
     model = HiddenVariableModel(weights=weights)

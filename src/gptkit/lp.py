@@ -30,14 +30,18 @@ y is solved for from the basis columns of the original [A | I], not read
 off the tableau (a basic surplus is a column of A), and re-checked before
 the verdict is returned.
 
-``hull_weights`` (is x a convex combination of given points?) has two
-kinds of certificate for "no".  Before it poses the LP it tries one Farkas
-vector of its own, from the ray between the points' centroid and x.  That
-guess must pass the check the simplex's certificate passes (``_refutes``);
-when it fails, the LP is posed exactly as it would be without the guess.
+Hull membership (``Hull.weights``, ``hull_weights``: is x a convex
+combination of given points?) tries one certificate per verdict before it
+poses the LP: a centroid-ray Farkas vector for "outside", least-norm
+weights for "inside" (``Hull.weights`` gives each and the check it must
+pass).  When neither holds, the LP is posed as it would be without them.
+A ``Hull`` checks [P^T; 1^T] and forms the centroid when it is built, and
+the pseudo-inverse on the first query that reaches the least-norm guess;
+a vertex ``StateSpace`` and ``bell.classical_membership`` each keep one.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,8 +73,9 @@ PROB_TOL = 1e-12
 ORTHO_TOL = 1e-8
 # Singular values below this count as zero in rank tests (geometry's initial
 # basis, the vertex certificate of an ``ineqs`` space) and, relative to the
-# largest, in ``LinearMap.is_invertible``.  The rows tested are functionals of
-# order 1, whose rounding leaves singular values near 1e-15.
+# largest, in ``LinearMap.is_invertible`` and ``Hull``'s pseudo-inverse.
+# The rows tested are functionals of order 1, whose rounding leaves singular
+# values near 1e-15.
 RANK_TOL = 1e-10
 # The support projectors of distinguishable quantum states complete to the
 # identity when no entry of 1 - sum(P_i) exceeds this; otherwise that
@@ -87,8 +92,9 @@ _PIVTOL = 1e-10
 MAX_PIVOTS = 10 ** 6
 # Degenerate pivots in a row after which Bland's lowest index enters instead
 # of the most negative reduced cost.  Pivot totals at runs of 1 / 8 / 16 /
-# 32 / 50: 1211 at every run on all perfbench lp_decisions operations of
-# seeds 1-5, 1146 / 1042 / 1031 / 1031 / 1031 on
+# 32 / 50: 416 at every run on all perfbench lp_decisions operations of
+# seeds 1-5 (114 LPs; the hull guesses settle the rest), 1146 / 1042 /
+# 1031 / 1031 / 1031 on
 # capacity(max_tensor(gbit, gbit), n_max=4), and 4761 / 4611 / 4611 / 4611 /
 # 4611 (13,695 with Bland's rule alone from all artificials) on
 # degenerate_problem seeds 0-2999 in tests/test_oracles.py.
@@ -260,47 +266,103 @@ def solve(prob: LpProblem) -> LpResult:
     return LpResult(status="optimal", x=x, pivots=pivots)
 
 
-def _check_feasible(prob, x):
+def _violation(x, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
+    """Why x misses A_eq x = b_eq, A_ub x >= b_ub or x >= 0 by more than
+    FEASTOL * max(1, |x|_inf), or None when it meets all three."""
     lo = x.min()
     tol = FEASTOL * max(1.0, float(x.max()), float(-lo))
-    if prob.a_eq is not None:
-        if np.abs(prob.a_eq @ x - prob.b_eq).max() > tol:
-            raise NumericalFailure("equality residual above tolerance")
-    if prob.a_ub is not None:
-        if (prob.a_ub @ x - prob.b_ub).min() < -tol:
-            raise NumericalFailure("inequality violated above tolerance")
+    if a_eq is not None and np.abs(a_eq @ x - b_eq).max() > tol:
+        return "equality residual above tolerance"
+    if a_ub is not None and (a_ub @ x - b_ub).min() < -tol:
+        return "inequality violated above tolerance"
     if not lo >= -tol:
-        raise NumericalFailure("x >= 0 violated above tolerance")
+        return "x >= 0 violated above tolerance"
+    return None
+
+
+def _check_feasible(prob, x):
+    why = _violation(x, prob.a_eq, prob.b_eq, prob.a_ub, prob.b_ub)
+    if why is not None:
+        raise NumericalFailure(why)
+
+
+class Hull:
+    """The rows of ``points`` as a point set for repeated ``weights``
+    queries.
+
+    [points^T; 1^T] is formed and checked (2-D, at least one point, finite)
+    and the centroid taken when the hull is built; the pseudo-inverse of
+    [points^T; 1^T] (singular values below RANK_TOL times the largest
+    dropped) on the first query that reaches the least-norm guess.
+    """
+
+    def __init__(self, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise DimensionMismatch("need points as rows")
+        k, dim = points.shape
+        if k < 1:
+            raise DimensionMismatch("need at least one point")
+        self.a = np.ones((dim + 1, k))
+        self.a[:-1] = points.T
+        if not np.isfinite(self.a).all():
+            raise InvalidArgument("points have a non-finite entry")
+        self.a.flags.writeable = False
+        self.centroid = self.a[:-1].sum(axis=1) / k  # bitwise mean(axis=0)
+
+    @cached_property
+    def _pinv(self):
+        return np.linalg.pinv(self.a, rcond=RANK_TOL)
+
+    def weights(self, x):
+        """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when
+        x is outside the convex hull of the points.
+
+        x must be a vector of length points.shape[1] (``DimensionMismatch``)
+        with finite entries (``InvalidArgument``).  Every None is certified
+        by a Farkas vector y for A w = b, A = [points^T; 1^T], b = [x; 1].
+        The first tried, before any LP, is the centroid ray: with
+        d = x - centroid and top = max(points @ d), y = (d, -top) scaled to
+        unit 1-norm has y.A <= 0 by construction, and y.b is the margin by
+        which the plane d.z = top separates x from the points.  If that
+        margin is not above CERT_TOL (x inside, or only another plane
+        separates), the least-norm w = A^+ b is tried: it is returned when
+        its entries are all >= 0 and it meets A w = b within FEASTOL, the
+        rule ``solve`` checks its own x against.  Otherwise the LP decides,
+        and its own certificate backs a None.  Neither guess contradicts
+        the LP: LP weights leave residuals within FEASTOL, so they would
+        bound y.b by FEASTOL < CERT_TOL, and the accepted w is itself
+        feasible to the LP's tolerance.
+        """
+        if np.ndim(x) != 1 or len(x) != self.a.shape[0] - 1:
+            raise DimensionMismatch("need x as a vector as long as a point")
+        b = np.ones(self.a.shape[0])
+        b[:-1] = x
+        if not np.isfinite(b).all():
+            raise InvalidArgument("x has a non-finite entry")
+        y = np.empty_like(b)
+        y[:-1] = b[:-1] - self.centroid
+        y[-1] = -(y[:-1] @ self.a[:-1]).max()
+        norm = np.abs(y).sum()
+        if norm > 0 and _refutes(y / norm, self.a, b):
+            return None
+        w = self._pinv @ b
+        # >= 0 exactly, not to FEASTOL: a Bell table rebuilt from the
+        # weights may fall below 0 only by rounding (PROB_TOL)
+        if w.min() >= 0.0 and _violation(w, self.a, b) is None:
+            return w
+        res = solve(LpProblem(n_vars=self.a.shape[1], a_eq=self.a, b_eq=b))
+        return res.x if res.status == "optimal" else None
 
 
 def hull_weights(points, x):
-    """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when x is
-    outside the convex hull of the rows of ``points``.
-
-    ``points`` must be 2-D and x a vector of length points.shape[1]
-    (``DimensionMismatch``); ``LpProblem`` checks [points^T; 1^T] and
-    [x; 1] before the guess below.  Every None is certified by a Farkas
-    vector y for [points^T; 1^T] w = [x; 1].  The first tried, before any
-    LP, is the centroid ray: with d = x - mean(points) and
-    top = max(points @ d), y = (d, -top) scaled to unit 1-norm has
-    y.A <= 0 by construction, and y.b is the margin by which the plane
-    d.z = top separates x from the points.  If that margin is not above
-    CERT_TOL (x inside, or only another plane separates), the LP decides,
-    and its own certificate backs a None.  The guess never contradicts the
-    LP: LP weights leave residuals within FEASTOL, so they would bound y.b
-    by FEASTOL < CERT_TOL.
+    """``Hull(points).weights(x)``: weights w >= 0 with sum(w) = 1 and
+    w @ points = x, or None when x is outside the convex hull of the rows
+    of ``points``.  ``points`` must be 2-D with at least one row and finite
+    entries.  One guess per verdict comes before the LP (``Hull.weights``):
+    the centroid ray for "outside", accepted when it passes ``_refutes``,
+    and the least-norm weights for "inside", accepted when all are >= 0 and
+    they pass ``_violation``.  This one-off hull builds its pseudo-inverse
+    only when the centroid ray does not refute x.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or np.ndim(x) != 1 or len(x) != points.shape[1]:
-        raise DimensionMismatch("need points as rows, x as a vector as long")
-    k, dim = points.shape
-    a_eq, b_eq, y = np.ones((dim + 1, k)), np.ones(dim + 1), np.empty(dim + 1)
-    a_eq[:-1], b_eq[:-1] = points.T, x
-    prob = LpProblem(n_vars=k, a_eq=a_eq, b_eq=b_eq)
-    y[:-1] = b_eq[:-1] - a_eq[:-1].sum(axis=1) / k  # bitwise mean(axis=1)
-    y[-1] = -(y[:-1] @ a_eq[:-1]).max()
-    norm = np.abs(y).sum()
-    if norm > 0 and _refutes(y / norm, a_eq, b_eq):
-        return None
-    res = solve(prob)
-    return res.x if res.status == "optimal" else None
+    return Hull(points).weights(x)

@@ -25,7 +25,7 @@ states ("no" is certain, "yes" sampled).  A space never changes once built.
 
 import json
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -35,10 +35,10 @@ from .errors import (DimensionMismatch, InvalidArgument, NotAState,
                      NumericalFailure, ScaleLimit, SingularMap, UnsupportedKind)
 from .lp import BISECT_TOL, FEASTOL, RANK_TOL
 
-# Desk-scale limit on N: the basis holds N^4 complex entries, mat_to_coords
-# a conjugated copy.  make_quantum(N), mat_to_coords and contains_state in a
-# fresh process (29 MB after numpy's import; 2-vCPU VM, numpy 2.4.6) peaked
-# at 62 MB in 0.03 s for N = 32, 107 MB / 0.07 s at 40, 190 MB / 0.14 s at 48.
+# Desk-scale limit on N: the basis holds N^4 complex entries.  make_quantum(N),
+# mat_to_coords and contains_state in a fresh process (29 MB after numpy's
+# import; 2-vCPU VM, numpy 2.4.6) peaked at 46 MB in 0.013 s for N = 32,
+# 69 MB / 0.03 s at 40, 111 MB / 0.06 s at 48 (the cap lifted to measure).
 MAX_HILBERT_DIM = 32
 
 
@@ -66,8 +66,11 @@ def hermitian_basis(n):
 
 
 def mat_to_coords(m):
+    """Coordinates tr(B_k^dagger m) = sum_ij conj(B_k)_ij m_ij.  Each B_k is
+    Hermitian, so conj(B_k)_ij is (B_k)_ji exactly and the sum reads the
+    basis transposed, with no conjugated copy of it."""
     m = np.asarray(m, dtype=complex)
-    return np.einsum("kij,ij->k", hermitian_basis(m.shape[0]).conj(), m).real
+    return np.einsum("kji,ij->k", hermitian_basis(m.shape[0]), m).real
 
 
 def coords_to_mat(c):
@@ -137,6 +140,13 @@ class StateSpace:
                 or fs[0].ambient_dim * fs[1].ambient_dim != self.ambient_dim
                 or np.abs(np.kron(fs[0].u, fs[1].u) - self.u).max() > FEASTOL):
             raise InvalidArgument("factors must be two polytopic spaces with u = u_A (x) u_B")
+
+    @cached_property
+    def _hull(self):
+        """The vertices as an ``lp.Hull``, built by the first membership
+        query that needs it and kept with this space only (a space made by
+        ``dataclasses.replace`` builds its own)."""
+        return lp.Hull(self.vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +318,11 @@ def contains_state(space, x):
 
     On an ``ineqs`` space this is one product with the rows; otherwise a
     polytopic point equal to a listed vertex is a state without an LP, and
-    ``lp.hull_weights`` refutes most outside points by its centroid-ray
-    Farkas vector before it would pose the LP.
+    the space's ``lp.Hull`` decides the rest: its centroid-ray Farkas
+    vector refutes most outside points and its least-norm weights certify
+    most inside ones, each without an LP; the LP decides what neither
+    settles.  The pseudo-inverse behind the least-norm weights is built on
+    the first query that needs it and kept with the space.
     """
     x = _check_dim(space, x, "state")
     if space.kind == "polytopic":
@@ -318,7 +331,7 @@ def contains_state(space, x):
         verts = space.vertices
         if (verts == x).all(axis=1).any():
             return True
-        return lp.hull_weights(verts, x) is not None
+        return space._hull.weights(x) is not None
     if space.kind == "quantum":
         rho = coords_to_mat(x)
         if abs(np.trace(rho).real - 1.0) > FEASTOL:
@@ -359,7 +372,8 @@ def is_pure(space, omega):
     a vertex space, omega must be a listed vertex outside the hull of the
     vertices away from it (every copy of omega is dropped);
     ``lp.hull_weights`` certifies that, often by its centroid-ray Farkas
-    vector with no LP, else by the LP.
+    vector with no LP, else by the LP; a point inside the hull of the
+    others may instead be certified by its least-norm weights.
     """
     omega = _check_dim(space, omega, "state")
     if not contains_state(space, omega):

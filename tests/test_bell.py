@@ -492,9 +492,20 @@ def test_json_roundtrip():
 
 
 def test_classical_model_is_checked(monkeypatch):
-    # a solver answer that does not reproduce the table is an error, not a model
+    # weights that do not reproduce the table are an error, not a model,
+    # whether the LP gave them or the least-norm guess did.  A deterministic
+    # table's least-norm weights reach -0.1875, so its LP is posed.
+    table = bell.deterministic_tables()[5]
     wrong = lp.LpResult(status="optimal", x=np.eye(16)[0])
-    monkeypatch.setattr(bell.lp, "solve", lambda prob: wrong)
+    with monkeypatch.context() as m:
+        m.setattr(bell.lp, "solve", lambda prob: wrong)
+        with pytest.raises(NumericalFailure):
+            bell.classical_membership(table)
+    # least-norm weights e_0 for every table, with their own check off
+    pinv = np.zeros((16, 17))
+    pinv[0, -1] = 1.0
+    monkeypatch.setattr(bell._local_hull(), "_pinv", pinv)
+    monkeypatch.setattr(bell.lp, "_violation", lambda *rows: None)
     with pytest.raises(NumericalFailure):
         bell.classical_membership(bell.mix_deterministic(np.ones(16)))
 

@@ -6,7 +6,8 @@ import pytest
 from gptkit import distinguish, lp
 from gptkit.distinguish import (_largest_distinguishable, capacity,
                                 perfectly_distinguishable)
-from gptkit.errors import InvalidArgument, NotAState, NumericalFailure, ScaleLimit
+from gptkit.errors import (DimensionMismatch, InvalidArgument, NotAState,
+                           NumericalFailure, ScaleLimit)
 from gptkit.spaces import (contains_state, make_ball, make_classical, make_gbit,
                            make_polytopic, make_quantum, mat_to_coords)
 
@@ -72,6 +73,26 @@ def test_invalid_state_rejected():
     g = make_gbit()
     with pytest.raises(NotAState):
         perfectly_distinguishable(g, np.array([[2.0, 2.0, 1.0]]))
+
+
+_GBIT = make_gbit().vertices
+
+
+@pytest.mark.parametrize("states, error, match", [
+    (np.zeros((2, 2)), DimensionMismatch, r"got \(2,\)"),
+    (_GBIT[0], DimensionMismatch, r"got \(\)"),
+    (_GBIT[None, :2], DimensionMismatch, r"got \(2, 3\)"),
+    (np.vstack([_GBIT[0], [np.nan, 0.0, 1.0]]), InvalidArgument, "non-finite"),
+    (np.vstack([[np.inf, 0.0, 1.0], _GBIT[1]]), InvalidArgument, "non-finite"),
+    ([[2.0, 2.0, 1.0], [np.nan, 0.0, 1.0]], NotAState, "valid states"),
+], ids=["short rows", "one vector", "3-d", "nan after a vertex", "inf",
+        "outside before nan"])
+def test_bad_states_rejected(states, error, match):
+    # listed vertices are marked in one comparison; every other input still
+    # meets contains_state's checks, first bad one first
+    for call in (perfectly_distinguishable, capacity):
+        with pytest.raises(error, match=match):
+            call(make_gbit(), states)
 
 
 @pytest.mark.parametrize("space", [make_gbit(), make_ball(3), make_quantum(2)],
@@ -230,7 +251,9 @@ def test_lp_counts(monkeypatch):
     solves.clear()
     checks = count_calls(monkeypatch, distinguish, "contains_state")
     assert capacity(g, gbit_with_collinear_mixtures()) == 2
-    assert len(checks) == 7  # each candidate once
+    # each candidate once, but for the 4 listed vertices, which are marked
+    # as states in one comparison
+    assert len(checks) == 3
 
 
 def test_rank_bound_uses_rank_tol(monkeypatch):

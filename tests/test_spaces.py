@@ -18,6 +18,20 @@ from gptkit.spaces import (Effect, LinearMap, Measurement, are_equivalent,
 from .conftest import random_density
 
 
+def test_mat_to_coords_reads_basis_transposed():
+    # conj(B_k) is B_k transposed entry for entry, so the coordinates equal
+    # those from a conjugated copy of the basis bit for bit, signed zeros
+    # included, on Hermitian and general matrices alike
+    rng = np.random.default_rng(11)
+    for n in range(2, 7):
+        basis = hermitian_basis(n)
+        for k in range(40):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m = [m, m + m.conj().T, np.diag(m.real.diagonal())][k % 3]
+            old = np.einsum("kij,ij->k", basis.conj(), m).real
+            assert mat_to_coords(m).tobytes() == old.tobytes()
+
+
 def test_hermitian_basis_orthonormal():
     for n in (2, 3):
         basis = hermitian_basis(n)
