@@ -18,8 +18,9 @@ import numpy as np
 from . import lp
 from .errors import (DimensionMismatch, InvalidArgument, NotAState,
                      NumericalFailure, ScaleLimit, UnsupportedKind)
-from .spaces import (Effect, Measurement, _with_vertices, coords_to_mat,
-                     contains_state, enumerate_vertices, mat_to_coords)
+from .spaces import (Effect, Measurement, _is_listed_vertex, _with_vertices,
+                     coords_to_mat, contains_state, enumerate_vertices,
+                     mat_to_coords)
 
 MAX_SUBSETS = 10 ** 6
 
@@ -60,8 +61,7 @@ def _valid_states(space, states):
     rest = states
     if (space.vertices is not None and states.ndim == 2
             and states.shape[1] == space.ambient_dim):
-        listed = (states[:, None] == space.vertices).all(axis=2).any(axis=1)
-        rest = states[~listed]
+        rest = states[~_is_listed_vertex(space, states)]
     for s in rest:
         if not contains_state(space, s):
             raise NotAState("all inputs must be valid states")

@@ -66,6 +66,13 @@ DEDUP_TOL = 1e-8
 # under 0 only by rounding, so the bound sits near rounding, far inside
 # FEASTOL.
 PROB_TOL = 1e-12
+# Least-norm hull weights (``Hull.weights``) must meet [P^T; 1] w = [x; 1]
+# to this, scaled as FEASTOL is, before they stand in for the LP.  Inside a
+# hull that residual is rounding: at most 4.4e-15 on the 1313 guessed
+# "inside" cases of tests/test_lp.py's hull survey.  At FEASTOL, a point
+# 7.7e-10 off its points' affine hull would be taken as inside there,
+# where the LP alone fails its certificate check.
+LEAST_NORM_TOL = 1e-12
 # ``distinguish`` treats the support projectors P_i, P_j of two density
 # matrices as orthogonal when no entry of P_i P_j exceeds this.  Orthogonal
 # supports from ``eigh`` meet only to rounding (about 1e-15); the witness
@@ -266,11 +273,11 @@ def solve(prob: LpProblem) -> LpResult:
     return LpResult(status="optimal", x=x, pivots=pivots)
 
 
-def _violation(x, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
+def _violation(x, a_eq=None, b_eq=None, a_ub=None, b_ub=None, tol=FEASTOL):
     """Why x misses A_eq x = b_eq, A_ub x >= b_ub or x >= 0 by more than
-    FEASTOL * max(1, |x|_inf), or None when it meets all three."""
+    tol * max(1, |x|_inf), or None when it meets all three."""
     lo = x.min()
-    tol = FEASTOL * max(1.0, float(x.max()), float(-lo))
+    tol = tol * max(1.0, float(x.max()), float(-lo))
     if a_eq is not None and np.abs(a_eq @ x - b_eq).max() > tol:
         return "equality residual above tolerance"
     if a_ub is not None and (a_ub @ x - b_ub).min() < -tol:
@@ -293,7 +300,8 @@ class Hull:
     [points^T; 1^T] is formed and checked (2-D, at least one point, finite)
     and the centroid taken when the hull is built; the pseudo-inverse of
     [points^T; 1^T] (singular values below RANK_TOL times the largest
-    dropped) on the first query that reaches the least-norm guess.
+    dropped) on the first query that reaches the least-norm guess.  A hull
+    made by ``without`` takes its least-norm weights from its parent's.
     """
 
     def __init__(self, points):
@@ -303,16 +311,54 @@ class Hull:
         k, dim = points.shape
         if k < 1:
             raise DimensionMismatch("need at least one point")
-        self.a = np.ones((dim + 1, k))
-        self.a[:-1] = points.T
-        if not np.isfinite(self.a).all():
+        a = np.ones((dim + 1, k))
+        a[:-1] = points.T
+        if not np.isfinite(a).all():
             raise InvalidArgument("points have a non-finite entry")
-        self.a.flags.writeable = False
-        self.centroid = self.a[:-1].sum(axis=1) / k  # bitwise mean(axis=0)
+        self._take(a, None)
+
+    def _take(self, a, parent):
+        """Keep [points^T; 1^T] (checked), its centroid and, for a hull
+        made by ``without``, (parent hull, dropped mask)."""
+        a.flags.writeable = False
+        self.a, self._parent = a, parent
+        self.centroid = a[:-1].sum(axis=1) / a.shape[1]  # bitwise mean(axis=0)
 
     @cached_property
     def _pinv(self):
         return np.linalg.pinv(self.a, rcond=RANK_TOL)
+
+    def without(self, drop):
+        """The hull of the points not marked in the boolean mask ``drop``.
+        When one point is dropped, its least-norm weights come from this
+        hull's pseudo-inverse, with no SVD of its own."""
+        if drop.all():
+            raise DimensionMismatch("need at least one point")
+        hull = object.__new__(Hull)
+        hull._take(self.a[:, ~drop], (self, drop))
+        return hull
+
+    def _least_norm(self, b):
+        """A^+ b, the least-norm w with A w = b when b is in A's range.
+
+        On a hull made by ``without`` from a parent with matrix A and
+        pseudo-inverse P, dropping column j: with w = P b and Pi = P A, the
+        least-norm solution of A w' = b with w'_j = 0 is w minus
+        w_j / (1 - Pi_jj) times the null-space vector (I - Pi) e_j of A,
+        whose other entries are those of w + (Pi e_j) w_j / (1 - Pi_jj).
+        That holds while 1 - Pi_jj > 0, that is, while the other columns
+        span what A's do; otherwise this hull's own SVD gives A^+ b.
+        """
+        if self._parent is not None and self._parent[1].sum() == 1:
+            parent, drop = self._parent
+            j = drop.argmax()
+            w = parent._pinv @ b
+            pi_j = parent._pinv @ parent.a[:, j]
+            rest = 1.0 - pi_j[j]
+            if rest > RANK_TOL:
+                w += pi_j * (w[j] / rest)
+                return w[~drop]
+        return self._pinv @ b
 
     def weights(self, x):
         """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when
@@ -327,12 +373,14 @@ class Hull:
         which the plane d.z = top separates x from the points.  If that
         margin is not above CERT_TOL (x inside, or only another plane
         separates), the least-norm w = A^+ b is tried: it is returned when
-        its entries are all >= 0 and it meets A w = b within FEASTOL, the
-        rule ``solve`` checks its own x against.  Otherwise the LP decides,
-        and its own certificate backs a None.  Neither guess contradicts
-        the LP: LP weights leave residuals within FEASTOL, so they would
-        bound y.b by FEASTOL < CERT_TOL, and the accepted w is itself
-        feasible to the LP's tolerance.
+        its entries are all >= 0 and it meets A w = b within LEAST_NORM_TOL
+        by ``_violation``, the rule ``solve`` checks its own x against at
+        FEASTOL.  Otherwise the LP decides, and its own certificate backs a
+        None.  Neither guess contradicts the LP: LP weights leave residuals
+        within FEASTOL, so they would bound y.b by FEASTOL < CERT_TOL, and
+        the accepted w is feasible to rounding, a thousandth of the LP's
+        tolerance, so it is not taken where x is off the points' affine
+        hull by more than rounding and the LP fails.
         """
         if np.ndim(x) != 1 or len(x) != self.a.shape[0] - 1:
             raise DimensionMismatch("need x as a vector as long as a point")
@@ -346,10 +394,11 @@ class Hull:
         norm = np.abs(y).sum()
         if norm > 0 and _refutes(y / norm, self.a, b):
             return None
-        w = self._pinv @ b
+        w = self._least_norm(b)
         # >= 0 exactly, not to FEASTOL: a Bell table rebuilt from the
         # weights may fall below 0 only by rounding (PROB_TOL)
-        if w.min() >= 0.0 and _violation(w, self.a, b) is None:
+        if (w.min() >= 0.0
+                and _violation(w, self.a, b, tol=LEAST_NORM_TOL) is None):
             return w
         res = solve(LpProblem(n_vars=self.a.shape[1], a_eq=self.a, b_eq=b))
         return res.x if res.status == "optimal" else None
@@ -362,7 +411,7 @@ def hull_weights(points, x):
     entries.  One guess per verdict comes before the LP (``Hull.weights``):
     the centroid ray for "outside", accepted when it passes ``_refutes``,
     and the least-norm weights for "inside", accepted when all are >= 0 and
-    they pass ``_violation``.  This one-off hull builds its pseudo-inverse
-    only when the centroid ray does not refute x.
+    they pass ``_violation`` at LEAST_NORM_TOL.  This one-off hull builds
+    its pseudo-inverse only when the centroid ray does not refute x.
     """
     return Hull(points).weights(x)

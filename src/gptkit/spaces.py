@@ -118,7 +118,10 @@ class StateSpace:
         for name, noun in (("vertices", "vertex"), ("ineqs", "inequality")):
             if getattr(self, name) is None:
                 continue
-            rows = np.asarray(getattr(self, name), dtype=float)
+            # a read-only copy: the space, and the hull it caches, cannot
+            # change through the caller's array
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.flags.writeable = False
             object.__setattr__(self, name, rows)
             if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
                 raise DimensionMismatch(f"{name} must be rows of length "
@@ -263,6 +266,12 @@ def _check_dim(space, x, what):
     return x
 
 
+def _is_listed_vertex(space, x):
+    """Whether x, or each row of x, equals a listed vertex of the space
+    entry for entry: such a point is a state with no test."""
+    return (x[..., None, :] == space.vertices).all(axis=-1).any(axis=-1)
+
+
 def _satisfies_ineqs(space, x):
     return (abs(space.u @ x - 1.0) <= FEASTOL
             and (space.ineqs @ x).min() >= -FEASTOL)
@@ -328,8 +337,7 @@ def contains_state(space, x):
     if space.kind == "polytopic":
         if space.ineqs is not None:
             return _satisfies_ineqs(space, x)
-        verts = space.vertices
-        if (verts == x).all(axis=1).any():
+        if _is_listed_vertex(space, x):
             return True
         return space._hull.weights(x) is not None
     if space.kind == "quantum":
@@ -370,10 +378,13 @@ def is_pure(space, omega):
 
     On an ``ineqs`` space, the rank of the rows tight at omega decides.  On
     a vertex space, omega must be a listed vertex outside the hull of the
-    vertices away from it (every copy of omega is dropped);
-    ``lp.hull_weights`` certifies that, often by its centroid-ray Farkas
-    vector with no LP, else by the LP; a point inside the hull of the
-    others may instead be certified by its least-norm weights.
+    vertices away from it (every copy of omega is dropped).  That hull is
+    the space's ``lp.Hull`` without omega's copies: its centroid-ray Farkas
+    vector often certifies purity with no LP, else the LP does; a point
+    inside the hull of the others may instead be certified impure by its
+    least-norm weights, which come from the space's kept pseudo-inverse by
+    a rank-one correction when omega is listed once (``lp.Hull.without``),
+    not from a new SVD per call.
     """
     omega = _check_dim(space, omega, "state")
     if not contains_state(space, omega):
@@ -381,13 +392,12 @@ def is_pure(space, omega):
     if space.kind == "polytopic":
         if space.ineqs is not None:
             return _tight_rows_full_rank(space, omega)
-        verts = space.vertices
-        others = verts[np.abs(verts - omega).max(axis=1) > FEASTOL]
-        if others.shape[0] == verts.shape[0]:
+        copies = np.abs(space.vertices - omega).max(axis=1) <= FEASTOL
+        if not copies.any():
             return False
-        if others.shape[0] == 0:
+        if copies.all():
             return True
-        return lp.hull_weights(others, omega) is None
+        return space._hull.without(copies).weights(omega) is None
     if space.kind == "quantum":
         rho = coords_to_mat(omega)
         return np.linalg.eigvalsh(rho).max() >= 1.0 - FEASTOL

@@ -505,7 +505,7 @@ def test_classical_model_is_checked(monkeypatch):
     pinv = np.zeros((16, 17))
     pinv[0, -1] = 1.0
     monkeypatch.setattr(bell._local_hull(), "_pinv", pinv)
-    monkeypatch.setattr(bell.lp, "_violation", lambda *rows: None)
+    monkeypatch.setattr(bell.lp, "_violation", lambda *rows, **tol: None)
     with pytest.raises(NumericalFailure):
         bell.classical_membership(bell.mix_deterministic(np.ones(16)))
 

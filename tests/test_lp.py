@@ -273,7 +273,7 @@ def test_hull_shortcut_matches_lp(monkeypatch):
     posed = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda prob: posed.append(prob) or solve(prob))
-    refuted = certified = rescued = 0
+    refuted = certified = 0
     for n, (points, x, inside) in enumerate(_hull_cases(2000)):
         direct = _weights_or_failure(_lp_only, points, x)
         before = len(posed)
@@ -282,12 +282,10 @@ def test_hull_shortcut_matches_lp(monkeypatch):
         refuted += guessed and w is None
         certified += guessed and w is not None
         if isinstance(direct, NumericalFailure):
-            # the same LP fails, unless a guess decided x before it
-            assert guessed or isinstance(w, NumericalFailure)
-            if not guessed:
-                continue
-            rescued += w is not None
-        elif direct is None:
+            # the same LP fails, unless the guess refuted x before it
+            assert w is None or isinstance(w, NumericalFailure)
+            continue
+        if direct is None:
             assert w is None
         else:
             assert w is not None
@@ -300,10 +298,8 @@ def test_hull_shortcut_matches_lp(monkeypatch):
             assert (w is not None) == inside
             if n % 10 == 0:  # HiGHS is slow: every fifth clear case
                 assert scipy_convex_combination_feasible(points, x) == inside
-    # 1018 refuted and 1314 certified here; one of the latter is a band
-    # case on which the LP alone fails, 7.7e-10 off the affine hull of 5
-    # points in R^5, whose least-norm weights meet FEASTOL
-    assert refuted > 900 and certified > 1100 and rescued < 5
+    # 1018 refuted and 1313 certified here
+    assert refuted > 900 and certified > 1100
 
 
 def _refuse_lp(monkeypatch):
@@ -379,6 +375,56 @@ def test_hull_is_kept_per_space():
         assert contains_state(made, x)
     assert not contains_state(square, x)
     assert (square._hull.a[:-1] == square.vertices.T).all()
+
+
+def _pinv_calls(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(lp.np.linalg, "pinv",
+                        lambda a, **kw: calls.append(a.shape) or pinv(a, **kw))
+    return calls
+
+
+def test_hull_without_one_point_reuses_the_pseudo_inverse(monkeypatch):
+    # with one point dropped, the least-norm weights of the rest come from
+    # the parent's pseudo-inverse and equal a fresh SVD's; with every copy
+    # of a point dropped, or a vertex that takes a dimension with it, the
+    # smaller hull makes its own SVD
+    rng = np.random.default_rng(28)
+    cases = []
+    for dim, k in ((3, 6), (4, 12), (6, 48), (8, 96)):
+        points = rng.uniform(-1.0, 1.0, size=(k, dim))
+        cases.append((points, np.eye(k, dtype=bool)[rng.integers(k)], []))
+        copied = np.vstack([points, points[[1, 1]]])
+        cases.append((copied, (copied == points[1]).all(axis=1),
+                      [(dim + 1, k - 1)]))
+    cases.append((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                  np.array([True, False, False]), [(3, 2)]))
+    for points, drop, svds in cases:
+        hull = lp.Hull(points)
+        hull._pinv
+        b = np.append(rng.uniform(-1.0, 1.0, size=points.shape[1]), 1.0)
+        calls = _pinv_calls(monkeypatch)
+        got = hull.without(drop)._least_norm(b)
+        assert calls == svds
+        monkeypatch.undo()
+        want = np.linalg.pinv(lp.Hull(points[~drop]).a, rcond=lp.RANK_TOL) @ b
+        assert np.abs(got - want).max() <= 1e-10
+    with pytest.raises(DimensionMismatch, match="at least one point"):
+        hull.without(np.ones(len(points), dtype=bool))
+
+
+def test_is_pure_reuses_the_space_pseudo_inverse(monkeypatch):
+    # the gbit's centre, listed as a fifth vertex, is impure: the centroid
+    # ray of the other four is zero, and their least-norm weights 1/4 each
+    # certify it with no LP, from one SVD of the space's hull in all
+    _refuse_lp(monkeypatch)
+    calls = _pinv_calls(monkeypatch)
+    space = make_polytopic(np.vstack([make_gbit().vertices, [0.0, 0.0, 1.0]]),
+                           [0.0, 0.0, 1.0])
+    for _ in range(3):
+        assert not is_pure(space, np.array([0.0, 0.0, 1.0]))
+    assert calls == [(4, 5)]
 
 
 def test_hull_shortcut_guards():

@@ -32,6 +32,24 @@ def test_mat_to_coords_reads_basis_transposed():
             assert mat_to_coords(m).tobytes() == old.tobytes()
 
 
+def test_vertices_are_a_read_only_copy():
+    # a space keeps its own rows, so its cached hull cannot go stale when
+    # the caller's array changes
+    verts = make_gbit().vertices.copy()
+    ineqs = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+    space = make_polytopic(verts, [0.0, 0.0, 1.0])
+    x = np.array([0.9, 0.0, 1.0])
+    assert contains_state(space, x)
+    verts *= 0.5
+    assert contains_state(space, x) and is_pure(space, 2 * verts[0])
+    cut = replace(space, vertices=None, ineqs=ineqs)
+    ineqs[0] = -1.0
+    assert contains_state(cut, x)
+    for rows in (space.vertices, cut.ineqs):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+
+
 def test_hermitian_basis_orthonormal():
     for n in (2, 3):
         basis = hermitian_basis(n)
