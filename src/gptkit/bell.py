@@ -128,11 +128,12 @@ def lifted_chsh_max(table):
     return max(table._values[8:16])
 
 
-def classify_ns_vertex(table, tol=DEDUP_TOL):
-    """'deterministic', 'pr', or 'other' for an NS-polytope vertex table."""
-    if (np.abs(_DET - table.p).max(axis=1) <= tol).any():
+def classify_ns_vertex(table):
+    """'deterministic', 'pr', or 'other' for an NS-polytope vertex table,
+    matching entries within DEDUP_TOL."""
+    if (np.abs(_DET - table.p).max(axis=1) <= DEDUP_TOL).any():
         return "deterministic"
-    if (np.abs(_PR - table.p).max(axis=1) <= tol).any():
+    if (np.abs(_PR - table.p).max(axis=1) <= DEDUP_TOL).any():
         return "pr"
     return "other"
 

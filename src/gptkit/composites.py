@@ -8,6 +8,9 @@ effect-cone generators of the factors (a factor's own ``ineqs``, else its
 products implies it for all product effects, so the list is exact.
 ``contains_state`` and ``is_pure`` on it need no LP and no enumeration.
 Composites go to and from JSON, factors included, as every space does.
+A ball or quantum factor is refused where its vertices are asked for
+(``enumerate_vertices``, ``UnsupportedKind``); the constructor refuses
+factors that are not polytopic.
 """
 
 import numpy as np
@@ -15,9 +18,8 @@ import numpy as np
 from . import geometry
 from .errors import DimensionMismatch, NotAState, ScaleLimit, UnsupportedKind
 from .lp import FEASTOL, WITNESS_TOL
-from .spaces import (Effect, Measurement, StateSpace, _with_vertices,
-                     contains_state, coords_to_mat, enumerate_vertices,
-                     mat_to_coords)
+from .spaces import (Effect, Measurement, StateSpace, contains_state,
+                     coords_to_mat, enumerate_vertices, mat_to_coords)
 
 
 def effect_cone_generators(space):
@@ -26,11 +28,9 @@ def effect_cone_generators(space):
     Rays are normalized so the maximum value over the vertices is 1,
     which makes each generator a valid (in fact maximal) effect.
     """
-    if space.kind != "polytopic":
-        raise UnsupportedKind("effect cone generation needs a polytopic space")
+    verts = enumerate_vertices(space)  # UnsupportedKind before ScaleLimit
     if space.ambient_dim > 10:
         raise ScaleLimit("ambient dimension above 10")
-    verts = enumerate_vertices(space)
     gens = [Effect(r / (verts @ r).max())
             for r in geometry.cone_extreme_rays(verts)]
     # deterministic order: lexicographic on rounded coefficients
@@ -40,8 +40,6 @@ def effect_cone_generators(space):
 
 def min_tensor(a, b):
     """Convex hull of the product states: vertex list v_A (x) v_B."""
-    if a.kind != "polytopic" or b.kind != "polytopic":
-        raise UnsupportedKind("tensor products implemented for polytopic factors")
     verts_b = enumerate_vertices(b)
     verts = [np.kron(va, vb) for va in enumerate_vertices(a) for vb in verts_b]
     return StateSpace(kind="polytopic", ambient_dim=a.ambient_dim * b.ambient_dim,
@@ -57,8 +55,6 @@ def _cone_rows(space):
 
 def max_tensor(a, b):
     """All normalized vectors nonnegative on every product effect."""
-    if a.kind != "polytopic" or b.kind != "polytopic":
-        raise UnsupportedKind("tensor products implemented for polytopic factors")
     ineqs = np.array([np.kron(e, f) for e in _cone_rows(a)
                       for f in _cone_rows(b)])
     return StateSpace(kind="polytopic", ambient_dim=a.ambient_dim * b.ambient_dim,
@@ -133,33 +129,25 @@ def check_supermultiplicativity(a, b, comp=None):
 
     Builds product states from maximal distinguishable sets of the
     factors, together with the product witness measurement, and verifies
-    the joint delta condition.  A polytopic factor's set comes from the
-    subset search of ``distinguish.capacity`` over all its vertices.  That
-    search tries no size above the rank of the vertices, and raises
-    ``ScaleLimit`` only when a size it tries has more than
-    ``distinguish.MAX_SUBSETS`` subsets.  A factor of any other kind raises
-    ``UnsupportedKind``.
+    the joint delta condition.  Each factor's set comes from the subset
+    search of ``distinguish.capacity`` over its default candidates: all
+    the vertices of a polytopic factor, the computational basis of a
+    quantum one.  That search tries no size above the rank of the
+    candidates, and raises ``ScaleLimit`` only when a size it tries has
+    more than ``distinguish.MAX_SUBSETS`` subsets.  A factor with no
+    default candidates (a ball) raises ``UnsupportedKind``.
     """
-    if not {a.kind, b.kind} <= {"quantum", "polytopic"}:
+    factors = [space._cone.with_vertices(space) for space in (a, b)]
+    candidates = [f._cone.candidates(f, f.ambient_dim) for f in factors]
+    if any(c is None for c in candidates):
         raise UnsupportedKind("supermultiplicativity check needs quantum or "
                               "polytopic factors")
     # imported here, its one use, so that building a composite does not
     # load the distinguishability module
-    from .distinguish import (DistinguishabilityWitness,
-                              _largest_distinguishable,
-                              perfectly_distinguishable)
+    from .distinguish import DistinguishabilityWitness, _largest_distinguishable
 
-    sets = []
-    for space in (a, b):
-        if space.kind == "quantum":
-            states = [mat_to_coords(np.outer(e_i, e_i))
-                      for e_i in np.eye(space.hilbert_dim)]
-            sets.append(perfectly_distinguishable(space, states))
-        else:
-            space = _with_vertices(space)
-            sets.append(_largest_distinguishable(space, space.vertices,
-                                                 len(space.vertices)))
-    wa, wb = sets
+    wa, wb = (_largest_distinguishable(f, c, f.ambient_dim)
+              for f, c in zip(factors, candidates))
     na, nb = len(wa.states), len(wb.states)
     prod_states = [product_state(sa, sb) for sa in wa.states for sb in wb.states]
     prod_effects = [Effect(np.kron(ea.coeffs, eb.coeffs))

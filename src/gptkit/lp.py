@@ -297,8 +297,9 @@ class Hull:
     """The rows of ``points`` as a point set for repeated ``weights``
     queries.
 
-    [points^T; 1^T] is formed and checked (2-D, at least one point, finite)
-    and the centroid taken when the hull is built; the pseudo-inverse of
+    [points^T; 1^T] is formed, in the memory order of points, and checked
+    (2-D, at least one point, finite) and the centroid taken when the hull
+    is built; the pseudo-inverse of
     [points^T; 1^T] (singular values below RANK_TOL times the largest
     dropped) on the first query that reaches the least-norm guess.  A hull
     made by ``without`` takes its least-norm weights from its parent's.
@@ -311,18 +312,16 @@ class Hull:
         k, dim = points.shape
         if k < 1:
             raise DimensionMismatch("need at least one point")
-        a = np.ones((dim + 1, k))
+        # [points^T; 1^T] keeps the memory order of points, and with it the
+        # order in which the centroid's sum and each product with it add up
+        a = np.ones_like(points, shape=(dim + 1, k))
         a[:-1] = points.T
         if not np.isfinite(a).all():
             raise InvalidArgument("points have a non-finite entry")
-        self._take(a, None)
-
-    def _take(self, a, parent):
-        """Keep [points^T; 1^T] (checked), its centroid and, for a hull
-        made by ``without``, (parent hull, dropped mask)."""
         a.flags.writeable = False
-        self.a, self._parent = a, parent
-        self.centroid = a[:-1].sum(axis=1) / a.shape[1]  # bitwise mean(axis=0)
+        self.a = a
+        self.centroid = a[:-1].sum(axis=1) / k
+        self._parent = None  # (parent hull, dropped mask) after ``without``
 
     @cached_property
     def _pinv(self):
@@ -331,11 +330,11 @@ class Hull:
     def without(self, drop):
         """The hull of the points not marked in the boolean mask ``drop``.
         When one point is dropped, its least-norm weights come from this
-        hull's pseudo-inverse, with no SVD of its own."""
-        if drop.all():
-            raise DimensionMismatch("need at least one point")
-        hull = object.__new__(Hull)
-        hull._take(self.a[:, ~drop], (self, drop))
+        hull's pseudo-inverse, with no SVD of its own.  Its matrix is
+        column-major, as numpy lays out the column selection a[:, ~drop],
+        so its centroid and products keep that selection's last bits."""
+        hull = Hull(np.asfortranarray(self.a[:-1, ~drop].T))
+        hull._parent = (self, drop)
         return hull
 
     def _least_norm(self, b):

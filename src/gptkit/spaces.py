@@ -7,20 +7,31 @@ Three kinds of state space are supported:
   vertices of an ``ineqs`` space and leaves the space as it was,
 * quantum   -- density matrices of size N, coordinatized in a fixed
   orthonormal Hermitian basis so states are plain real vectors of
-  length N^2,
-* ball      -- vectors (1, r) with |r| <= 1 (the Bloch-ball form).
+  length N^2, with u the trace (1, ..., 1, 0, ..., 0),
+* ball      -- vectors (1, r) with |r| <= 1 (the Bloch-ball form), with
+  u = e_0.
+
+Each kind of cone answers its own questions in one class: a polytope
+given by vertices (``_VertexPolytope``), one given by ``ineqs``
+(``_IneqsPolytope``, which wins when a space has both), the ball
+(``_Ball``, a Lorentz cone) and quantum theory (``_Quantum``, the PSD
+cone).  A space picks its class once, when it is built, and the class
+checks the fields: a field of another kind, or a u other than the kind's,
+is refused.  The public functions below ask the space's class.
 
 A tensor product (``composites``) is a polytopic space with its two
 factor spaces in ``factors``, and composites nest.  On an ``ineqs`` space
 membership and purity are one product and one rank, and an effect is
 checked by two cone LPs, with no enumeration; other polytopic questions
-are LP feasibility, and quantum and ball ones are analytic (eigenvalues).  The effect set is always the
-full dual interval [0, u] (no-restriction hypothesis).
+are LP feasibility, and quantum and ball ones are analytic
+(eigenvalues).  The effect set is always the full dual interval [0, u]
+(no-restriction hypothesis).
 
-The three map questions share one inclusion test, _maps_into.  Their
-answers are exact for polytopic spaces and ball -> ball maps, with or
-without a translation; a quantum map is tested on seeded sampled pure
-states ("no" is certain, "yes" sampled).  A space never changes once built.
+The three map questions ask the class of the map's domain whether the map
+sends it into the codomain.  The answers are exact for polytopic spaces
+and ball -> ball maps, with or without a translation; a quantum map is
+tested on seeded sampled pure states ("no" is certain, "yes" sampled).  A
+space never changes once built.
 """
 
 import json
@@ -97,52 +108,22 @@ class StateSpace:
     factors: tuple = None          # tensor products: the two factors
 
     def __post_init__(self):
-        if self.kind not in ("polytopic", "quantum", "ball"):
+        # ineqs win over vertices: membership and purity then need no LP
+        cone = {"polytopic": _VERTICES if self.ineqs is None else _INEQS,
+                "quantum": _QUANTUM, "ball": _BALL}.get(self.kind)
+        if cone is None:
             raise InvalidArgument(f"unknown state-space kind {self.kind!r}")
-        if ((self.vertices is None and self.ineqs is None)
-                == (self.kind == "polytopic")):
-            raise InvalidArgument("vertices or ineqs are given for polytopic "
-                                  "spaces only")
+        for name in ("vertices", "ineqs", "factors", "hilbert_dim", "ball_dim"):
+            if getattr(self, name) is not None and name not in cone.fields:
+                raise InvalidArgument(f"{name} given for a {self.kind} space")
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.shape != (self.ambient_dim,):
             raise DimensionMismatch(f"u has shape {self.u.shape}, "
                                     f"expected ({self.ambient_dim},)")
         if not np.isfinite(self.u).all():
             raise InvalidArgument("non-finite entry in u")
-        expected = {"polytopic": self.ambient_dim,
-                    "quantum": self.hilbert_dim and self.hilbert_dim ** 2,
-                    "ball": self.ball_dim and self.ball_dim + 1}[self.kind]
-        if expected != self.ambient_dim:
-            raise DimensionMismatch("ambient_dim must be hilbert_dim^2 "
-                                    "(quantum) or ball_dim + 1 (ball)")
-        for name, noun in (("vertices", "vertex"), ("ineqs", "inequality")):
-            if getattr(self, name) is None:
-                continue
-            # a read-only copy: the space, and the hull it caches, cannot
-            # change through the caller's array
-            rows = np.array(getattr(self, name), dtype=float)
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
-            if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
-                raise DimensionMismatch(f"{name} must be rows of length "
-                                        "ambient_dim")
-            if not np.isfinite(rows).all():
-                raise InvalidArgument(f"non-finite entry in {name}")
-            if rows.shape[0] == 0:
-                raise InvalidArgument(f"need at least one {noun}")
-        if self.vertices is not None:
-            if np.abs(self.vertices @ self.u - 1.0).max() > FEASTOL:
-                raise InvalidArgument("vertex with u(v) != 1")
-            if (self.ineqs is not None
-                    and (self.vertices @ self.ineqs.T).min() < -FEASTOL):
-                raise InvalidArgument("vertex violating an inequality")
-        fs = self.factors
-        if fs is not None and (
-                len(fs) != 2 or not all(isinstance(f, StateSpace)
-                                        and f.kind == "polytopic" for f in fs)
-                or fs[0].ambient_dim * fs[1].ambient_dim != self.ambient_dim
-                or np.abs(np.kron(fs[0].u, fs[1].u) - self.u).max() > FEASTOL):
-            raise InvalidArgument("factors must be two polytopic spaces with u = u_A (x) u_B")
+        cone.check(self)
+        object.__setattr__(self, "_cone", cone)
 
     @cached_property
     def _hull(self):
@@ -255,6 +236,329 @@ def make_polytopic(vertices, u):
 
 
 # ---------------------------------------------------------------------------
+# one class per kind of state space: each answers the questions of its cone
+
+def _rank(sv):
+    """Rank from singular values: those above RANK_TOL * max(1, largest).
+    The capacity search's size bound and the polytopic witness's dependence
+    test both use it, so no size the bound allows is refused as dependent."""
+    return int((sv > RANK_TOL * max(1.0, sv[0])).sum())
+
+
+def _is_listed_vertex(space, x):
+    """Whether x, or each row of x, equals a listed vertex of the space
+    entry for entry: such a point is a state with no test."""
+    return (x[..., None, :] == space.vertices).all(axis=-1).any(axis=-1)
+
+
+class _Cone:
+    """One kind of state space.  Each kind names the optional fields it
+    takes (``fields``), checks a space as it is built (``check``), and
+    answers ``contains``, ``is_effect``, ``is_pure``, ``pure_states``, the
+    vertices, the effect coefficients of a distinguishability witness
+    (``witness``, or None) and the default capacity candidates.  The
+    defaults here are those of a kind whose states span its space and
+    which has no vertices: the ball and quantum kinds."""
+
+    def vertices(self, space):
+        raise UnsupportedKind("needs the vertices of a polytopic space")
+
+    def with_vertices(self, space):
+        """The space, or a copy holding the vertices of an ``ineqs`` space."""
+        return space
+
+    def candidates(self, space, n):
+        """States for a capacity search of sizes up to n, or None when the
+        caller must give them."""
+        return None
+
+    def pure_states(self, space, n_samples, seed):
+        """n_samples seeded pure states, drawn one after another."""
+        rng = np.random.default_rng(seed)
+        return np.array([self.pure_state(space, rng) for _ in range(n_samples)])
+
+    def maps_into(self, a, b, m, pure_states):
+        """Does m send every state of a (this kind) to a state of b?  The
+        states of a span its space, so u is kept exactly; the rest is
+        tested on ``pure_states(a)``, sampled pure states."""
+        if np.abs(b.u @ m - a.u).max() > FEASTOL:
+            return False
+        return all(contains_state(b, m @ s) for s in pure_states(a))
+
+
+class _Polytope(_Cone):
+    """A polytope: its vertices, listed or enumerated, are its pure states,
+    and a tensor product keeps its two factors."""
+    fields = ("vertices", "ineqs", "factors")
+
+    def check(self, space):
+        if space.vertices is None and space.ineqs is None:
+            raise InvalidArgument("a polytopic space needs vertices or ineqs")
+        for name, noun in (("vertices", "vertex"), ("ineqs", "inequality")):
+            if getattr(space, name) is None:
+                continue
+            # a read-only copy: the space, and the hull it caches, cannot
+            # change through the caller's array
+            rows = np.array(getattr(space, name), dtype=float)
+            rows.flags.writeable = False
+            object.__setattr__(space, name, rows)
+            if rows.ndim != 2 or rows.shape[1] != space.ambient_dim:
+                raise DimensionMismatch(f"{name} must be rows of length "
+                                        "ambient_dim")
+            if not np.isfinite(rows).all():
+                raise InvalidArgument(f"non-finite entry in {name}")
+            if rows.shape[0] == 0:
+                raise InvalidArgument(f"need at least one {noun}")
+        if space.vertices is not None:
+            if np.abs(space.vertices @ space.u - 1.0).max() > FEASTOL:
+                raise InvalidArgument("vertex with u(v) != 1")
+            if (space.ineqs is not None
+                    and (space.vertices @ space.ineqs.T).min() < -FEASTOL):
+                raise InvalidArgument("vertex violating an inequality")
+        fs = space.factors
+        if fs is not None and (
+                len(fs) != 2 or not all(isinstance(f, StateSpace)
+                                        and isinstance(f._cone, _Polytope)
+                                        for f in fs)
+                or fs[0].ambient_dim * fs[1].ambient_dim != space.ambient_dim
+                or np.abs(np.kron(fs[0].u, fs[1].u) - space.u).max() > FEASTOL):
+            raise InvalidArgument("factors must be two polytopic spaces with u = u_A (x) u_B")
+
+    def candidates(self, space, n):
+        """The vertices: distinguishable states of a polytope can be
+        replaced by extremal ones, so a search over them is exact."""
+        return self.vertices(space)
+
+    def pure_states(self, space, n_samples, seed):
+        return enumerate_vertices(space)
+
+    def maps_into(self, a, b, m, pure_states):
+        """Exact: the vertex images decide, and u need only be kept on them."""
+        return all(contains_state(b, m @ s) for s in pure_states(a))
+
+    def witness(self, space, states, n):
+        """Effect coefficients e_i with e_i(omega_j) = delta_ij, or None.
+
+        The unit effect alone tells one state apart.  Otherwise: effects
+        e_1 .. e_{n-1} with coefficients c_i, and e_n = u - sum_i e_i.
+        e_i(omega_j) = delta_ij for i < n is S c_i = delta_i for the n x K
+        state matrix S; e_n(omega_j) = delta_nj then follows from
+        u(omega_j) = 1.  If a^T S = 0, applying each e_i gives a_i = 0, so
+        dependent states (n > K among them) have no witness.  Otherwise
+        c_i = c0_i + N t_i, with c0 = S^+ delta and N a basis of null(S), and
+        what is left is that every effect, e_n included, is nonnegative on
+        the vertices V: V N t_i >= -V c0_i, and
+        -V N sum_i t_i >= -V (u - sum_i c0_i).  For n = K there is no t and
+        the rows are checked at t = 0; otherwise the t are free and each is
+        posed as t+ - t- in two adjacent columns, the last axis of the rows'
+        (n, V, n - 1, K - n, 2) array.
+        """
+        if n == 1:
+            return [space.u]
+        k, verts = space.ambient_dim, enumerate_vertices(space)
+        left, sv, right = np.linalg.svd(states)
+        if _rank(sv) < n:
+            return None
+        c0 = (left[:n - 1] / sv) @ right[:n]
+        b_ub = -np.concatenate([(c0 @ verts.T).ravel(),
+                                verts @ (space.u - c0.sum(axis=0))])
+        if n == k:
+            if b_ub.max() > FEASTOL:
+                return None
+            coeffs = c0
+        else:
+            null = right[n:]  # rows: a basis of null(S)
+            w = verts @ null.T
+            a_ub = np.empty((n, len(verts), n - 1, k - n, 2))
+            np.multiply(np.eye(n - 1)[:, None, :, None], w[:, None],
+                        out=a_ub[:-1, ..., 0])
+            a_ub[-1, ..., 0] = -w[:, None]
+            np.negative(a_ub[..., 0], out=a_ub[..., 1])
+            a_ub = a_ub.reshape(len(b_ub), -1)
+            res = lp.solve(lp.LpProblem(n_vars=a_ub.shape[1], a_ub=a_ub, b_ub=b_ub))
+            if res.status != "optimal":
+                return None
+            t = (res.x[0::2] - res.x[1::2]).reshape(n - 1, k - n)
+            coeffs = c0 + t @ null
+        return [*coeffs, space.u - coeffs.sum(axis=0)]
+
+
+class _VertexPolytope(_Polytope):
+    """A polytope given by its vertices; its ``lp.Hull`` decides membership."""
+
+    def vertices(self, space):
+        return space.vertices
+
+    def contains(self, space, x):
+        return bool(_is_listed_vertex(space, x)) or space._hull.weights(x) is not None
+
+    def is_effect(self, space, c):
+        vals = space.vertices @ c
+        return vals.min() >= -FEASTOL and vals.max() <= 1.0 + FEASTOL
+
+    def is_pure(self, space, omega):
+        copies = np.abs(space.vertices - omega).max(axis=1) <= FEASTOL
+        if not copies.any():
+            return False
+        if copies.all():
+            return True
+        return space._hull.without(copies).weights(omega) is None
+
+
+class _IneqsPolytope(_Polytope):
+    """A polytope given by rows r with r.x >= 0 (and perhaps its vertices
+    too): membership is one product, purity one rank, an effect two LPs."""
+
+    def vertices(self, space):
+        """Listed vertices, else double description on each call, each
+        vertex certified from the rows alone: feasible, with full-rank
+        tight rows."""
+        if space.vertices is not None:
+            return space.vertices
+        verts = geometry.polytope_vertices(space.ineqs, space.u)
+        for v in verts:
+            if not self.contains(space, v):
+                raise NumericalFailure(
+                    "double description produced an infeasible point")
+            if not self.is_pure(space, v):
+                raise NumericalFailure(
+                    "double description produced a non-extremal point")
+        return verts
+
+    def with_vertices(self, space):
+        return (space if space.vertices is not None
+                else replace(space, vertices=enumerate_vertices(space)))
+
+    def contains(self, space, x):
+        return (abs(space.u @ x - 1.0) <= FEASTOL
+                and (space.ineqs @ x).min() >= -FEASTOL)
+
+    def is_effect(self, space, c):
+        return (self._nonnegative_on_states(space, c)
+                and self._nonnegative_on_states(space, space.u - c))
+
+    def is_pure(self, space, omega):
+        """Do the rows tight at omega, stacked with u, have full rank?  For
+        a point of the polytope this makes omega the only point on the face
+        those rows cut out: a vertex."""
+        face = np.vstack([space.ineqs[np.abs(space.ineqs @ omega) <= FEASTOL],
+                          space.u])
+        return np.linalg.matrix_rank(face, tol=RANK_TOL) == space.ambient_dim
+
+    def _nonnegative_on_states(self, space, f):
+        """Is f >= 0 on every state?  By the affine Farkas lemma exactly
+        when f = ineqs^T lam + mu u for some lam, mu >= 0: one LP, with no
+        vertex enumeration."""
+        a = np.vstack([space.ineqs, space.u]).T
+        res = lp.solve(lp.LpProblem(n_vars=a.shape[1], a_eq=a, b_eq=f))
+        return res.status == "optimal"
+
+
+class _Quantum(_Cone):
+    """Density matrices of size N in the Hermitian basis: the PSD cone."""
+    fields = ("hilbert_dim",)
+
+    def check(self, space):
+        n = space.hilbert_dim
+        if not n or n * n != space.ambient_dim:
+            raise DimensionMismatch("ambient_dim must be hilbert_dim^2")
+        if (space.u != (np.arange(space.ambient_dim) < n)).any():
+            raise InvalidArgument("u of a quantum space must be the trace")
+
+    def candidates(self, space, n):
+        """The first n computational basis states: tr B_k |i><i| is 1 at
+        k = i and 0 elsewhere."""
+        return np.eye(min(n, space.hilbert_dim), space.ambient_dim)
+
+    def contains(self, space, x):
+        rho = coords_to_mat(x)
+        if abs(np.trace(rho).real - 1.0) > FEASTOL:
+            return False
+        return np.linalg.eigvalsh(rho).min() >= -FEASTOL
+
+    def is_effect(self, space, c):
+        ev = np.linalg.eigvalsh(coords_to_mat(c))
+        return ev.min() >= -FEASTOL and ev.max() <= 1.0 + FEASTOL
+
+    def is_pure(self, space, omega):
+        return np.linalg.eigvalsh(coords_to_mat(omega)).max() >= 1.0 - FEASTOL
+
+    def pure_state(self, space, rng):
+        n = space.hilbert_dim
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        return mat_to_coords(np.outer(psi, psi.conj()))
+
+    def witness(self, space, states, n):
+        """The support projectors, when pairwise orthogonal (for quantum
+        states joint perfect distinguishability is exactly that), and the
+        projector onto the rest when it is not zero."""
+        projs = []
+        for s in states:
+            ev, vec = np.linalg.eigh(coords_to_mat(s))
+            cols = vec[:, ev > FEASTOL]
+            projs.append(cols @ cols.conj().T)
+        if any(np.abs(p @ q).max() > lp.ORTHO_TOL
+               for p, q in combinations(projs, 2)):
+            return None
+        rest = np.eye(space.hilbert_dim) - sum(projs)
+        if np.abs(rest).max() > lp.COMPLETE_TOL:
+            projs.append(rest)
+        return [mat_to_coords(p) for p in projs]
+
+
+class _Ball(_Cone):
+    """Vectors (1, r) with |r| <= 1: the Lorentz cone."""
+    fields = ("ball_dim",)
+
+    def check(self, space):
+        d = space.ball_dim
+        if not d or d + 1 != space.ambient_dim:
+            raise DimensionMismatch("ambient_dim must be ball_dim + 1")
+        if space.u[0] != 1.0 or space.u[1:].any():
+            raise InvalidArgument("u of a ball space must be e_0")
+
+    def contains(self, space, x):
+        return abs(x[0] - 1.0) <= FEASTOL and np.linalg.norm(x[1:]) <= 1.0 + FEASTOL
+
+    def is_effect(self, space, c):
+        return np.linalg.norm(c[1:]) <= min(c[0], 1.0 - c[0]) + FEASTOL
+
+    def is_pure(self, space, omega):
+        return np.linalg.norm(omega[1:]) >= 1.0 - FEASTOL
+
+    def pure_state(self, space, rng):
+        r = rng.normal(size=space.ball_dim)
+        return np.concatenate([[1.0], r / np.linalg.norm(r)])
+
+    def maps_into(self, a, b, m, pure_states):
+        """Exact onto a ball (``_ball_image_fits``), else sampled."""
+        if (not isinstance(b._cone, _Ball)
+                or np.abs(b.u @ m - a.u).max() > FEASTOL):
+            return super().maps_into(a, b, m, pure_states)
+        return _ball_image_fits(m[1:, 0], m[1:, 1:])
+
+    def witness(self, space, states, n):
+        """The unit effect for one state; for two antipodal pure states,
+        the effect (1 + r_1 . r)/2 and its complement; else None (the
+        capacity of a ball is 2)."""
+        if n == 1:
+            return [space.u]
+        if n > 2:
+            return None
+        r1, r2 = states[0][1:], states[1][1:]
+        if (abs(np.linalg.norm(r1) - 1.0) > FEASTOL
+                or np.linalg.norm(r1 + r2) > FEASTOL):
+            return None
+        e = np.concatenate([[0.5], 0.5 * r1])
+        return [e, space.u - e]
+
+
+_VERTICES, _INEQS, _QUANTUM, _BALL = (_VertexPolytope(), _IneqsPolytope(),
+                                      _Quantum(), _Ball())
+
+
+# ---------------------------------------------------------------------------
 # decision procedures
 
 def _check_dim(space, x, what):
@@ -266,60 +570,12 @@ def _check_dim(space, x, what):
     return x
 
 
-def _is_listed_vertex(space, x):
-    """Whether x, or each row of x, equals a listed vertex of the space
-    entry for entry: such a point is a state with no test."""
-    return (x[..., None, :] == space.vertices).all(axis=-1).any(axis=-1)
-
-
-def _satisfies_ineqs(space, x):
-    return (abs(space.u @ x - 1.0) <= FEASTOL
-            and (space.ineqs @ x).min() >= -FEASTOL)
-
-
-def _tight_rows_full_rank(space, x):
-    """Do the rows of ineqs tight at x, stacked with u, have full rank?
-
-    For a point of the polytope this makes x the only point on the face
-    those rows cut out: a vertex.
-    """
-    face = np.vstack([space.ineqs[np.abs(space.ineqs @ x) <= FEASTOL], space.u])
-    return np.linalg.matrix_rank(face, tol=RANK_TOL) == space.ambient_dim
-
-
-def _nonnegative_on_states(space, f):
-    """Is f >= 0 on every state of an ``ineqs`` space?  By the affine Farkas
-    lemma exactly when f = ineqs^T lam + mu u for some lam, mu >= 0: one
-    LP, with no vertex enumeration."""
-    a = np.vstack([space.ineqs, space.u]).T
-    res = lp.solve(lp.LpProblem(n_vars=a.shape[1], a_eq=a, b_eq=f))
-    return res.status == "optimal"
-
-
 def enumerate_vertices(space):
-    """The vertices of a polytopic space.  An ``ineqs`` space gets them by
-    double description on each call, each certified from the rows alone:
-    feasible, with full-rank tight rows.  The space is not changed."""
-    if space.kind != "polytopic":
-        raise UnsupportedKind("vertex enumeration needs a polytopic space")
-    if space.vertices is not None:
-        return space.vertices
-    verts = geometry.polytope_vertices(space.ineqs, space.u)
-    for v in verts:
-        if not _satisfies_ineqs(space, v):
-            raise NumericalFailure(
-                "double description produced an infeasible point")
-        if not _tight_rows_full_rank(space, v):
-            raise NumericalFailure(
-                "double description produced a non-extremal point")
-    return verts
-
-
-def _with_vertices(space):
-    """The space, or a copy holding the vertices of an ``ineqs`` space."""
-    if space.kind != "polytopic" or space.vertices is not None:
-        return space
-    return replace(space, vertices=enumerate_vertices(space))
+    """The vertices of a polytopic space (``UnsupportedKind`` for a ball or
+    quantum space).  An ``ineqs`` space gets them by double description on
+    each call, each certified from the rows alone: feasible, with full-rank
+    tight rows.  The space is not changed."""
+    return space._cone.vertices(space)
 
 
 def contains_state(space, x):
@@ -331,23 +587,10 @@ def contains_state(space, x):
     vector refutes most outside points and its least-norm weights certify
     most inside ones, each without an LP; the LP decides what neither
     settles.  The pseudo-inverse behind the least-norm weights is built on
-    the first query that needs it and kept with the space.
+    the first query that needs it and kept with the space.  Quantum and
+    ball states are decided by eigenvalues and a norm.
     """
-    x = _check_dim(space, x, "state")
-    if space.kind == "polytopic":
-        if space.ineqs is not None:
-            return _satisfies_ineqs(space, x)
-        if _is_listed_vertex(space, x):
-            return True
-        return space._hull.weights(x) is not None
-    if space.kind == "quantum":
-        rho = coords_to_mat(x)
-        if abs(np.trace(rho).real - 1.0) > FEASTOL:
-            return False
-        return np.linalg.eigvalsh(rho).min() >= -FEASTOL
-    if space.kind == "ball":
-        return abs(x[0] - 1.0) <= FEASTOL and np.linalg.norm(x[1:]) <= 1.0 + FEASTOL
-    raise UnsupportedKind(space.kind)
+    return space._cone.contains(space, _check_dim(space, x, "state"))
 
 
 def is_effect(space, e):
@@ -357,20 +600,7 @@ def is_effect(space, e):
     rows and u (two LPs); otherwise e is evaluated on the vertices.
     """
     c = _check_dim(space, e.coeffs if isinstance(e, Effect) else e, "effect")
-    if space.kind == "polytopic":
-        if space.ineqs is not None:
-            return (_nonnegative_on_states(space, c)
-                    and _nonnegative_on_states(space, space.u - c))
-        vals = space.vertices @ c
-        return vals.min() >= -FEASTOL and vals.max() <= 1.0 + FEASTOL
-    if space.kind == "quantum":
-        em = coords_to_mat(c)
-        ev = np.linalg.eigvalsh(em)
-        return ev.min() >= -FEASTOL and ev.max() <= 1.0 + FEASTOL
-    if space.kind == "ball":
-        const, w = c[0], c[1:]
-        return np.linalg.norm(w) <= min(const, 1.0 - const) + FEASTOL
-    raise UnsupportedKind(space.kind)
+    return space._cone.is_effect(space, c)
 
 
 def is_pure(space, omega):
@@ -389,42 +619,12 @@ def is_pure(space, omega):
     omega = _check_dim(space, omega, "state")
     if not contains_state(space, omega):
         raise NotAState("argument is not a valid state")
-    if space.kind == "polytopic":
-        if space.ineqs is not None:
-            return _tight_rows_full_rank(space, omega)
-        copies = np.abs(space.vertices - omega).max(axis=1) <= FEASTOL
-        if not copies.any():
-            return False
-        if copies.all():
-            return True
-        return space._hull.without(copies).weights(omega) is None
-    if space.kind == "quantum":
-        rho = coords_to_mat(omega)
-        return np.linalg.eigvalsh(rho).max() >= 1.0 - FEASTOL
-    if space.kind == "ball":
-        return np.linalg.norm(omega[1:]) >= 1.0 - FEASTOL
-    raise UnsupportedKind(space.kind)
+    return space._cone.is_pure(space, omega)
 
 
 def _sampled_pure_states(space, n_samples, seed):
     """The vertices of a polytopic space, else n_samples seeded pure states."""
-    if space.kind == "polytopic":
-        return enumerate_vertices(space)
-    rng = np.random.default_rng(seed)
-    out = []
-    if space.kind == "quantum":
-        n = space.hilbert_dim
-        for _ in range(n_samples):
-            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-            psi /= np.linalg.norm(psi)
-            out.append(mat_to_coords(np.outer(psi, psi.conj())))
-    else:
-        d = space.ball_dim
-        for _ in range(n_samples):
-            r = rng.normal(size=d)
-            r /= np.linalg.norm(r)
-            out.append(np.concatenate([[1.0], r]))
-    return np.array(out)
+    return space._cone.pure_states(space, n_samples, seed)
 
 
 def _ball_image_fits(t, mm):
@@ -452,20 +652,6 @@ def _ball_image_fits(t, mm):
             hi = lam
 
 
-def _maps_into(a, b, m, pure_states):
-    """Does the matrix m send every state of a to a state of b?
-
-    Normalization is exact; the rest is vertex images, an exact ball
-    image test (ball -> ball) or sampled pure states, which
-    ``pure_states(a)`` gives only when they are needed.
-    """
-    if a.kind != "polytopic" and np.abs(b.u @ m - a.u).max() > FEASTOL:
-        return False
-    if a.kind == b.kind == "ball":
-        return _ball_image_fits(m[1:, 0], m[1:, 1:])
-    return all(contains_state(b, m @ s) for s in pure_states(a))
-
-
 def is_transformation(space, t, n_samples=1000, seed=0):
     """Does t map every normalized state to a normalized state?
 
@@ -477,8 +663,8 @@ def is_transformation(space, t, n_samples=1000, seed=0):
         raise DimensionMismatch("transformation must be square of ambient size")
     if not np.isfinite(m).all():
         raise InvalidArgument("transformation has a non-finite entry")
-    return _maps_into(space, space, m,
-                      lambda a: _sampled_pure_states(a, n_samples, seed))
+    return space._cone.maps_into(
+        space, space, m, lambda a: _sampled_pure_states(a, n_samples, seed))
 
 
 def is_reversible_transformation(space, t, n_samples=1000, seed=0):
@@ -506,14 +692,14 @@ def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
         return False
     if not lmap.is_invertible():
         raise SingularMap("equivalence requires an invertible map")
-    a = _with_vertices(space_a)
-    b = a if space_b is space_a else _with_vertices(space_b)
+    a = space_a._cone.with_vertices(space_a)
+    b = a if space_b is space_a else space_b._cone.with_vertices(space_b)
     # one draw per space: a map of a space onto itself tests the images of
     # the same seeded pure states in both directions
     pure_states = cache(
         lambda space: _sampled_pure_states(space, n_samples, seed))
-    return (_maps_into(a, b, m, pure_states) and
-            _maps_into(b, a, np.linalg.inv(m), pure_states))
+    return (a._cone.maps_into(a, b, m, pure_states) and
+            b._cone.maps_into(b, a, np.linalg.inv(m), pure_states))
 
 
 # ---------------------------------------------------------------------------

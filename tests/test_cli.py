@@ -426,13 +426,24 @@ def test_unread_options_rejected(capsys, tmp_path, argv):
 
 # sha256 of the stdout of each call, recorded before maximal composites
 # became StateSpaces given by inequalities (compose, nspolytope) and before
-# the Sorkin quantities became one inclusion-exclusion (sorkin); the output
-# must not move
+# the Sorkin quantities became one inclusion-exclusion (sorkin), and before
+# each kind of state space answered its own questions (distinguish); the
+# output must not move
 PINNED_STDOUT = {
     "c3-pentagon-max":
         "f47284a09b85169d610a00c363904ce30d845112e86493efa8c9239c316cae58",
     "c3-pentagon-max-vertices":
         "206ac618639c36954f0f37b16dcfccc914054891d8a1037123baad410b8aaa02",
+    "distinguish-ball3-antipodal":
+        "3b7916595365f4e1c7735b0a37453b2dab79d84d7b81dc07bc430874bc5ea75c",
+    "distinguish-gbit-gbit-max-products":
+        "cc7f45897f36345c979bc2d66837e39ac5754307707a90eca7f74219b6120dac",
+    "distinguish-gbit-single":
+        "4c4030dbbe0c89793d8b51e318a3f3dc998054ddac2ef1d7dcc5edab0bd818c5",
+    "distinguish-pentagon-pair":
+        "3a8320a67eee4f9f97fe372a11b556e32bc15dafacbf4d1e79af46770296b4ea",
+    "distinguish-quantum2-basis":
+        "7b1b988e1f28894e60a484bccf4d5695ff13a5111fbb155c1af4c4949f08f5c5",
     "c3-pentagon-min":
         "ff7a43c43ab920309f6f6627fa3ca3a749ece917544adf11955a1105585ebfa9",
     "gbit-gbit-max":
@@ -454,9 +465,33 @@ PINNED_STDOUT = {
 }
 
 
+def _distinguish_input(case):
+    """The space and states of a ``distinguish-*`` case."""
+    g = spaces.make_gbit()
+    if case == "distinguish-pentagon-pair":
+        return polygon(5), polygon(5).vertices[[0, 2]]
+    if case == "distinguish-gbit-gbit-max-products":
+        from gptkit import composites
+        return (composites.max_tensor(g, g),
+                [np.kron(g.vertices[0], g.vertices[0]),
+                 np.kron(g.vertices[2], g.vertices[2])])
+    if case == "distinguish-ball3-antipodal":
+        return spaces.make_ball(3), [[1, 0, 0.6, 0.8], [1, 0, -0.6, -0.8]]
+    if case == "distinguish-quantum2-basis":
+        return spaces.make_quantum(2), [[1, 0, 0, 0], [0, 1, 0, 0]]
+    return g, g.vertices[1:2]
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
 def test_stdout_pinned(capsys, tmp_path, case):
-    if case == "nspolytope-json":
+    if case.startswith("distinguish-"):
+        space, states = _distinguish_input(case)
+        (tmp_path / "space.json").write_text(spaces.space_to_json(space))
+        (tmp_path / "states.json").write_text(
+            json.dumps({"states": np.asarray(states, dtype=float).tolist()}))
+        argv = ["distinguish", "--space", str(tmp_path / "space.json"),
+                "--states", str(tmp_path / "states.json"), "--format", "json"]
+    elif case == "nspolytope-json":
         argv = ["nspolytope", "--format", "json"]
     elif case.startswith("sorkin-m2-"):
         argv = sorkin_argv(tmp_path, 2, *SORKIN_M2)

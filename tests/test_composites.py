@@ -171,6 +171,62 @@ def test_supermultiplicativity_rejects_ball_factor():
         check_supermultiplicativity(make_gbit(), make_ball(3))
 
 
+def _first_product_state(comp):
+    return product_state(*(enumerate_vertices(f)[0] for f in comp.factors))
+
+
+KIND_SPACES = {
+    "gbit": make_gbit,
+    "gbit-gbit-max": lambda: max_tensor(make_gbit(), make_gbit()),
+    "ball3": lambda: make_ball(3),
+    "quantum2": lambda: make_quantum(2),
+    "quantum4": lambda: make_quantum(4),
+}
+KIND_QUESTIONS = {
+    "enumerate_vertices": lambda s: enumerate_vertices(s).shape,
+    "capacity": lambda s: distinguish.capacity(s, n_max=4),
+    "effect_cone_generators": lambda s: len(effect_cone_generators(s)),
+    "min_tensor": lambda s: min_tensor(s, make_gbit()).vertices.shape,
+    "max_tensor": lambda s: max_tensor(make_gbit(), s).ineqs.shape,
+    "reduced_state": lambda s: tuple(reduced_state(
+        s, _first_product_state(s) if s.factors else s.u / (s.u @ s.u), "A")),
+    "supermultiplicativity": lambda s: check_supermultiplicativity(
+        s, make_classical(2))["factor_capacities"],
+}
+# what each question answers on each kind of space, or the error it raises;
+# effect_cone_generators on quantum(4) (ambient dimension 16, above its
+# limit of 10) must refuse the kind before the size
+KIND_ANSWERS = {
+    "gbit": [(4, 3), 2, 4, (16, 9), (16, 9), UnsupportedKind, (2, 2)],
+    "gbit-gbit-max": [(24, 9), 4, 16, (96, 27), (64, 27), (-1.0, -1.0, 1.0),
+                      None],
+    "ball3": [UnsupportedKind, InvalidArgument, UnsupportedKind,
+              UnsupportedKind, UnsupportedKind, UnsupportedKind,
+              UnsupportedKind],
+    "quantum2": [UnsupportedKind, 2, UnsupportedKind, UnsupportedKind,
+                 UnsupportedKind, UnsupportedKind, (2, 2)],
+    "quantum4": [UnsupportedKind, 4, UnsupportedKind, UnsupportedKind,
+                 UnsupportedKind, UnsupportedKind, (4, 2)],
+}
+KIND_CASES = [(kind, question, answer)
+              for kind, answers in KIND_ANSWERS.items()
+              for question, answer in zip(KIND_QUESTIONS, answers)
+              # the ineqs space's subset search is ScaleLimit (open)
+              if answer is not None]
+
+
+@pytest.mark.parametrize("kind, question, answer", KIND_CASES,
+                         ids=[f"{k}-{q}" for k, q, _ in KIND_CASES])
+def test_kind_question_matrix(kind, question, answer):
+    space = KIND_SPACES[kind]()
+    if isinstance(answer, type):
+        with pytest.raises(answer) as info:
+            KIND_QUESTIONS[question](space)
+        assert type(info.value) is answer
+    else:
+        assert KIND_QUESTIONS[question](space) == answer
+
+
 def _outside_arrangement_vertex(comp):
     """A point where dim - 1 rows are tight and u.x = 1, outside the polytope.
 

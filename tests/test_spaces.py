@@ -376,8 +376,29 @@ def test_non_finite_map_rejected(space):
     (dict(kind="quantum", ambient_dim=4, u=[1, 0, 0, 1]), DimensionMismatch),
     (dict(kind="polytopic", ambient_dim=2, u=[1, 1], vertices=[[1, 0, 0]]),
      DimensionMismatch),
+    (dict(kind="polytopic", ambient_dim=3, u=[0, 0, 1], vertices=[[0, 0, 1]],
+          hilbert_dim=3), InvalidArgument),
+    (dict(kind="quantum", ambient_dim=4, u=[1, 1, 0, 0], hilbert_dim=2,
+          ball_dim=3), InvalidArgument),
+    (dict(kind="ball", ambient_dim=3, u=[1, 0, 0], ball_dim=2,
+          ineqs=[[1, 0, 0]]), InvalidArgument),
+    # u_A (x) u_B is the trace here, so only the kind refuses the factors
+    (dict(kind="quantum", ambient_dim=4, u=[1, 1, 0, 0], hilbert_dim=2,
+          factors=(make_polytopic([[1, 0], [1, 1]], [1, 0]), make_classical(2))),
+     InvalidArgument),
+    (dict(kind="ball", ambient_dim=3, u=[0.5, 0, 0], ball_dim=2),
+     InvalidArgument),
+    (dict(kind="ball", ambient_dim=3, u=[1, 0, 1e-12], ball_dim=2),
+     InvalidArgument),
+    (dict(kind="quantum", ambient_dim=4, u=[1, 0, 0, 1], hilbert_dim=2),
+     InvalidArgument),
+    (dict(kind="quantum", ambient_dim=4, u=[2, 2, 0, 0], hilbert_dim=2),
+     InvalidArgument),
 ], ids=["polytopic-no-vertices", "quantum-with-vertices", "unknown-kind",
-        "short-u", "ball-dim", "no-hilbert-dim", "vertex-length"])
+        "short-u", "ball-dim", "no-hilbert-dim", "vertex-length",
+        "polytopic-with-hilbert-dim", "quantum-with-ball-dim",
+        "ball-with-ineqs", "quantum-with-factors", "ball-half-u",
+        "ball-tilted-u", "quantum-u-not-trace", "quantum-twice-trace"])
 def test_inconsistent_space_rejected(fields, error):
     with pytest.raises(error):
         spaces.StateSpace(**fields)
