@@ -55,8 +55,8 @@ def _cone_rows(space):
 
 def max_tensor(a, b):
     """All normalized vectors nonnegative on every product effect."""
-    ineqs = np.array([np.kron(e, f) for e in _cone_rows(a)
-                      for f in _cone_rows(b)])
+    rows_a, rows_b = _cone_rows(a), _cone_rows(b)
+    ineqs = np.array([np.kron(e, f) for e in rows_a for f in rows_b])
     return StateSpace(kind="polytopic", ambient_dim=a.ambient_dim * b.ambient_dim,
                       u=np.kron(a.u, b.u), ineqs=ineqs, factors=(a, b))
 

@@ -50,12 +50,12 @@ def perfectly_distinguishable(space, states):
 
 def _valid_states(space, states):
     """The states as a float array, each checked to be a state: those equal
-    to a listed vertex are marked in one comparison, the rest go through
-    ``contains_state`` (which raises on a bad shape or a non-finite entry)."""
+    to a listed vertex are found by hash (a row of another length by none),
+    the rest go through ``contains_state`` (which raises on a bad shape or
+    a non-finite entry)."""
     states = np.asarray(states, dtype=float)
     rest = states
-    if (space.vertices is not None and states.ndim == 2
-            and states.shape[1] == space.ambient_dim):
+    if space.vertices is not None and states.ndim == 2:
         rest = states[~_is_listed_vertex(space, states)]
     for s in rest:
         if not contains_state(space, s):

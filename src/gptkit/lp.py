@@ -37,7 +37,8 @@ weights for "inside" (``Hull.weights`` gives each and the check it must
 pass).  When neither holds, the LP is posed as it would be without them.
 A ``Hull`` checks [P^T; 1^T] and forms the centroid when it is built, and
 the pseudo-inverse on the first query that reaches the least-norm guess;
-a vertex ``StateSpace`` and ``bell.classical_membership`` each keep one.
+a vertex ``StateSpace`` and ``bell.classical_membership`` each keep one
+and check each query x themselves, as ``hull_weights`` does for its own.
 """
 
 from dataclasses import dataclass, field
@@ -295,14 +296,14 @@ def _check_feasible(prob, x):
 
 class Hull:
     """The rows of ``points`` as a point set for repeated ``weights``
-    queries.
+    queries, each query point checked by the caller.
 
     [points^T; 1^T] is formed, in the memory order of points, and checked
     (2-D, at least one point, finite) and the centroid taken when the hull
-    is built; the pseudo-inverse of
-    [points^T; 1^T] (singular values below RANK_TOL times the largest
-    dropped) on the first query that reaches the least-norm guess.  A hull
-    made by ``without`` takes its least-norm weights from its parent's.
+    is built; its pseudo-inverse (singular values below RANK_TOL times the
+    largest dropped) on the first query that reaches the least-norm guess.
+    A hull made by ``without`` takes its least-norm weights from its
+    parent's.
     """
 
     def __init__(self, points):
@@ -363,17 +364,18 @@ class Hull:
         """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when
         x is outside the convex hull of the points.
 
-        x must be a vector of length points.shape[1] (``DimensionMismatch``)
-        with finite entries (``InvalidArgument``).  Every None is certified
-        by a Farkas vector y for A w = b, A = [points^T; 1^T], b = [x; 1].
-        The first tried, before any LP, is the centroid ray: with
-        d = x - centroid and top = max(points @ d), y = (d, -top) scaled to
-        unit 1-norm has y.A <= 0 by construction, and y.b is the margin by
-        which the plane d.z = top separates x from the points.  If that
-        margin is not above CERT_TOL (x inside, or only another plane
-        separates), the least-norm w = A^+ b is tried: it is returned when
-        its entries are all >= 0 and it meets A w = b within LEAST_NORM_TOL
-        by ``_violation``, the rule ``solve`` checks its own x against at
+        x is a float vector of length points.shape[1] with finite entries,
+        as its caller has checked.  Every None is certified by a Farkas
+        vector y for A w = b, A = [points^T; 1^T], b = [x; 1].  The first
+        tried, before any LP, is the centroid ray: with d = x - centroid,
+        pd = points @ d and top = max(pd), y = (d, -top) / |(d, -top)|_1
+        has y.A = (pd - top) / |y|_1 <= 0 exactly, and y.b = (d.x - top) /
+        |y|_1, the margin by which the plane d.z = top separates x from the
+        points, is held to ``_refutes``'s bound with no y formed.  If it
+        falls short (x inside, or only another plane separates), the
+        least-norm w = A^+ b is tried: it is returned when its entries are
+        all >= 0 and it meets A w = b within LEAST_NORM_TOL by
+        ``_violation``, the rule ``solve`` checks its own x against at
         FEASTOL.  Otherwise the LP decides, and its own certificate backs a
         None.  Neither guess contradicts the LP: LP weights leave residuals
         within FEASTOL, so they would bound y.b by FEASTOL < CERT_TOL, and
@@ -381,18 +383,14 @@ class Hull:
         tolerance, so it is not taken where x is off the points' affine
         hull by more than rounding and the LP fails.
         """
-        if np.ndim(x) != 1 or len(x) != self.a.shape[0] - 1:
-            raise DimensionMismatch("need x as a vector as long as a point")
+        d = x - self.centroid
+        pd = d @ self.a[:-1]
+        top = pd.max()
+        norm = np.abs(d).sum() + abs(top)
+        if d @ x - top > CERT_TOL * max(1.0, np.abs(x).max()) * norm:
+            return None
         b = np.ones(self.a.shape[0])
         b[:-1] = x
-        if not np.isfinite(b).all():
-            raise InvalidArgument("x has a non-finite entry")
-        y = np.empty_like(b)
-        y[:-1] = b[:-1] - self.centroid
-        y[-1] = -(y[:-1] @ self.a[:-1]).max()
-        norm = np.abs(y).sum()
-        if norm > 0 and _refutes(y / norm, self.a, b):
-            return None
         w = self._least_norm(b)
         # >= 0 exactly, not to FEASTOL: a Bell table rebuilt from the
         # weights may fall below 0 only by rounding (PROB_TOL)
@@ -407,10 +405,17 @@ def hull_weights(points, x):
     """``Hull(points).weights(x)``: weights w >= 0 with sum(w) = 1 and
     w @ points = x, or None when x is outside the convex hull of the rows
     of ``points``.  ``points`` must be 2-D with at least one row and finite
-    entries.  One guess per verdict comes before the LP (``Hull.weights``):
-    the centroid ray for "outside", accepted when it passes ``_refutes``,
-    and the least-norm weights for "inside", accepted when all are >= 0 and
-    they pass ``_violation`` at LEAST_NORM_TOL.  This one-off hull builds
-    its pseudo-inverse only when the centroid ray does not refute x.
+    entries, and x (checked here, not by ``Hull.weights``) a vector as long
+    as a row (``DimensionMismatch``) with finite entries (``InvalidArgument``).
+    One guess per verdict comes before the LP (``Hull.weights``): the
+    centroid ray for "outside", and the least-norm weights for "inside".
+    This one-off hull builds its pseudo-inverse only when the centroid ray
+    does not refute x.
     """
-    return Hull(points).weights(x)
+    hull = Hull(points)
+    if np.ndim(x) != 1 or len(x) != hull.a.shape[0] - 1:
+        raise DimensionMismatch("need x as a vector as long as a point")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidArgument("x has a non-finite entry")
+    return hull.weights(x)

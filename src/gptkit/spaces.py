@@ -116,6 +116,12 @@ class StateSpace:
         for name in ("vertices", "ineqs", "factors", "hilbert_dim", "ball_dim"):
             if getattr(self, name) is not None and name not in cone.fields:
                 raise InvalidArgument(f"{name} given for a {self.kind} space")
+        for name in ("hilbert_dim", "ball_dim"):
+            n = getattr(self, name)
+            if n is not None:
+                if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                    raise InvalidArgument(f"{name} must be an integer, got {n!r}")
+                object.__setattr__(self, name, int(n))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.shape != (self.ambient_dim,):
             raise DimensionMismatch(f"u has shape {self.u.shape}, "
@@ -131,6 +137,11 @@ class StateSpace:
         query that needs it and kept with this space only (a space made by
         ``dataclasses.replace`` builds its own)."""
         return lp.Hull(self.vertices)
+
+    @cached_property
+    def _listed(self):
+        """The vertices as a set of tuples, kept as ``_hull`` is."""
+        return frozenset(map(tuple, self.vertices.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,9 +257,13 @@ def _rank(sv):
 
 
 def _is_listed_vertex(space, x):
-    """Whether x, or each row of x, equals a listed vertex of the space
-    entry for entry: such a point is a state with no test."""
-    return (x[..., None, :] == space.vertices).all(axis=-1).any(axis=-1)
+    """Whether x, or each row of a 2-D x, equals a listed vertex of the
+    space entry for entry (a state with no test), by one hash lookup per
+    point: -0.0 matches 0.0, and NaN, unequal to itself, matches none."""
+    if x.ndim == 1:
+        return tuple(x.tolist()) in space._listed
+    return np.array([row in space._listed for row in map(tuple, x.tolist())],
+                    dtype=bool)
 
 
 class _Cone:
@@ -390,7 +405,7 @@ class _VertexPolytope(_Polytope):
         return space.vertices
 
     def contains(self, space, x):
-        return bool(_is_listed_vertex(space, x)) or space._hull.weights(x) is not None
+        return _is_listed_vertex(space, x) or space._hull.weights(x) is not None
 
     def is_effect(self, space, c):
         vals = space.vertices @ c
@@ -579,16 +594,15 @@ def enumerate_vertices(space):
 
 
 def contains_state(space, x):
-    """Is x a valid normalized state of the space?
+    """Is x a valid normalized state of the space?  x is checked here.
 
-    On an ``ineqs`` space this is one product with the rows; otherwise a
-    polytopic point equal to a listed vertex is a state without an LP, and
-    the space's ``lp.Hull`` decides the rest: its centroid-ray Farkas
-    vector refutes most outside points and its least-norm weights certify
-    most inside ones, each without an LP; the LP decides what neither
-    settles.  The pseudo-inverse behind the least-norm weights is built on
-    the first query that needs it and kept with the space.  Quantum and
-    ball states are decided by eigenvalues and a norm.
+    On an ``ineqs`` space this is one product with the rows.  On a vertex
+    space a point equal to a listed vertex, found by one hash lookup in a
+    set of the vertices kept with the space, is a state with no test, and
+    the space's ``lp.Hull`` decides the rest: its centroid ray refutes most
+    outside points and its least-norm weights certify most inside ones,
+    each without an LP (``lp.Hull.weights``).  Quantum and ball states are
+    decided by eigenvalues and a norm.
     """
     return space._cone.contains(space, _check_dim(space, x, "state"))
 
@@ -604,20 +618,18 @@ def is_effect(space, e):
 
 
 def is_pure(space, omega):
-    """Is omega an extremal point of the state space?
+    """Is omega an extremal point of the state space?  omega is checked
+    once, then the space's kind answers whether it is a state and pure.
 
     On an ``ineqs`` space, the rank of the rows tight at omega decides.  On
     a vertex space, omega must be a listed vertex outside the hull of the
-    vertices away from it (every copy of omega is dropped).  That hull is
-    the space's ``lp.Hull`` without omega's copies: its centroid-ray Farkas
-    vector often certifies purity with no LP, else the LP does; a point
-    inside the hull of the others may instead be certified impure by its
-    least-norm weights, which come from the space's kept pseudo-inverse by
-    a rank-one correction when omega is listed once (``lp.Hull.without``),
-    not from a new SVD per call.
+    vertices away from it (every copy of omega dropped): the space's
+    ``lp.Hull`` without those copies (``lp.Hull.without``), whose centroid
+    ray or least-norm weights, from the space's kept pseudo-inverse, often
+    settle it with no LP and no new SVD.
     """
     omega = _check_dim(space, omega, "state")
-    if not contains_state(space, omega):
+    if not space._cone.contains(space, omega):
         raise NotAState("argument is not a valid state")
     return space._cone.is_pure(space, omega)
 

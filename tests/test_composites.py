@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptkit import distinguish, geometry, lp
+from gptkit import composites, distinguish, geometry, lp
 from gptkit.composites import (check_supermultiplicativity,
                                effect_cone_generators, enumerate_vertices,
                                max_tensor, min_tensor, product_state,
@@ -17,6 +17,27 @@ from gptkit.spaces import (Effect, Measurement, contains_state, is_effect,
                            mat_to_coords)
 
 from .conftest import polygon
+
+
+def test_max_tensor_takes_each_factor_rows_once(monkeypatch):
+    # one double description per factor, and rows bitwise those of the
+    # comprehension that took each factor's rows afresh
+    a, b = make_gbit(), make_gbit()
+    want = np.array([np.kron(e.coeffs, f.coeffs)
+                     for e in effect_cone_generators(a)
+                     for f in effect_cone_generators(b)])
+    calls = []
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    monkeypatch.setattr(composites, "effect_cone_generators",
+                        counted("generators", effect_cone_generators))
+    monkeypatch.setattr(geometry, "cone_extreme_rays",
+                        counted("rays", geometry.cone_extreme_rays))
+    got = max_tensor(a, b).ineqs
+    assert sorted(calls) == ["generators", "generators", "rays", "rays"]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_classical_effect_generators():

@@ -302,6 +302,27 @@ def test_hull_shortcut_matches_lp(monkeypatch):
     assert refuted > 900 and certified > 1100
 
 
+def test_centroid_ray_refutations_pass_refutes(monkeypatch):
+    # Hull.weights decides the centroid ray from points @ d alone; every x
+    # it refutes there, with no LP posed, is refuted by the Farkas vector
+    # y = (d, -top) / |(d, -top)|_1 formed explicitly and checked by
+    # _refutes, on the survey of test_hull_shortcut_matches_lp
+    posed = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prob: posed.append(prob) or solve(prob))
+    refuted = 0
+    for points, x, _ in _hull_cases(2000):
+        before = len(posed)
+        if (_weights_or_failure(lp.hull_weights, points, x) is None
+                and len(posed) == before):
+            hull = lp.Hull(points)
+            d = x - hull.centroid
+            y = np.append(d, -(points @ d).max())
+            assert lp._refutes(y / np.abs(y).sum(), hull.a, np.append(x, 1.0))
+            refuted += 1
+    assert refuted > 900
+
+
 def _refuse_lp(monkeypatch):
     def refuse(prob):
         raise NumericalFailure("LP posed")

@@ -404,6 +404,54 @@ def test_inconsistent_space_rejected(fields, error):
         spaces.StateSpace(**fields)
 
 
+@pytest.mark.parametrize("kind", ["quantum", "ball"])
+def test_dimension_must_be_an_integer(kind):
+    # a float or a bool is refused as hilbert_dim or ball_dim; Python and
+    # numpy integers are taken, and kept as int
+    name = "hilbert_dim" if kind == "quantum" else "ball_dim"
+
+    def build(n, dim):
+        ambient = dim * dim if kind == "quantum" else dim + 1
+        u = np.arange(ambient) < (dim if kind == "quantum" else 1)
+        return spaces.StateSpace(kind=kind, ambient_dim=ambient, u=u,
+                                 **{name: n})
+
+    for n, dim in ((2.0, 2), (np.float64(2.0), 2), (True, 1), (np.True_, 1)):
+        with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
+            build(n, dim)
+    for n in (2, np.int64(2), np.int32(2)):
+        space = build(n, 2)
+        assert type(getattr(space, name)) is int
+        assert space_to_json(space) == space_to_json(build(2, 2))
+        assert is_transformation(space, np.eye(space.ambient_dim), n_samples=5)
+
+
+def test_listed_vertex_lookup_matches_comparison():
+    # the hash lookup answers as the entry-for-entry comparison: with
+    # duplicated vertices, -0.0 against 0.0 either way, a neighbour one ulp
+    # away and NaN, for one point and for a stack
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        dim, k = int(rng.integers(2, 6)), int(rng.integers(1, 12))
+        verts = rng.integers(-1, 2, size=(k, dim)).astype(float)
+        verts[rng.random(verts.shape) < 0.3] = -0.0
+        verts = np.hstack([verts, np.ones((k, 1))])
+        verts = np.vstack([verts, verts[rng.integers(k, size=2)]])
+        space = make_polytopic(verts, np.eye(dim + 1)[dim])
+        points = verts[rng.integers(len(verts), size=8)]
+        signed = np.where(points == 0.0, -points, points)  # 0.0 <-> -0.0
+        ulp = points.copy()
+        ulp[:, 0] = np.nextafter(ulp[:, 0], np.inf)
+        nan = points.copy()
+        nan[:, 0] = np.nan
+        other = np.hstack([rng.integers(-1, 2, size=(8, dim)), np.ones((8, 1))])
+        stack = np.vstack([points, signed, ulp, nan, other])
+        want = (stack[..., None, :] == space.vertices).all(-1).any(-1)
+        assert (spaces._is_listed_vertex(space, stack) == want).all()
+        assert [spaces._is_listed_vertex(space, x) for x in stack] == list(want)
+        assert want[:16].all() and not want[16:32].any()
+
+
 ROT90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
