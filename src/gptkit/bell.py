@@ -8,6 +8,8 @@ v' = (v+1)/2, so ``p.reshape(2, 2, 2, 2)`` is the table indexed
 [x, y, a', b'].  The table functionals (row sums, correlators, CHSH and
 its 8 symmetries, no-signalling marginal differences) are the columns of
 one fixed 16 x 24 matrix M; a table computes ``p @ M`` once, when built.
+A quantum setup's state and effects are checked by ``operators``, the
+eight effects as one stack.
 """
 
 import json
@@ -21,6 +23,7 @@ from . import lp
 from .errors import (InvalidArgument, InvalidSetup, InvalidTable, NotAState,
                      NumericalFailure)
 from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL, PROB_TOL
+from .operators import PAULI, effect_defect, require, state_defect
 
 OUTCOMES = (-1, +1)
 INPUTS = (0, 1)
@@ -183,10 +186,6 @@ _PR = np.array([pr_box(*v).p for v in np.ndindex(2, 2, 2)])
 # ---------------------------------------------------------------------------
 # quantum tables
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 @dataclass(frozen=True, eq=False)
 class QubitBellSetup:
@@ -201,19 +200,14 @@ class QubitBellSetup:
     bob_effects: tuple                # per y: (F^-1, F^+1)
 
     def validate(self):
-        rho = np.asarray(self.state, dtype=complex)
-        if rho.shape != (4, 4) or np.abs(rho - rho.conj().T).max() > FEASTOL:
-            raise InvalidSetup("state must be a 4x4 Hermitian matrix")
-        if abs(np.trace(rho).real - 1.0) > FEASTOL or \
-                np.linalg.eigvalsh(rho).min() < -FEASTOL:
-            raise InvalidSetup("state is not a density matrix")
-        for pairs in (self.alice_effects, self.bob_effects):
-            for em, ep in pairs:
-                for e in (em, ep):
-                    if np.linalg.eigvalsh(np.asarray(e)).min() < -FEASTOL:
-                        raise InvalidSetup("effect operator not PSD")
-                if np.abs(em + ep - np.eye(2)).max() > FEASTOL:
-                    raise InvalidSetup("POVM pair does not sum to identity")
+        """True for a 4 x 4 density operator and, per side, two pairs of
+        2 x 2 effects (the (2, 2, 2, 2, 2) stack [side, input, outcome])
+        that each sum to the identity; else ``InvalidSetup``."""
+        require(state_defect, self.state, (4, 4), InvalidSetup, "state")
+        effects = require(effect_defect, [self.alice_effects, self.bob_effects],
+                          (2,) * 5, InvalidSetup, "effects")
+        if not np.abs(effects.sum(axis=2) - np.eye(2)).max() <= FEASTOL:
+            raise InvalidSetup("POVM pair does not sum to identity")
         return True
 
 
@@ -239,7 +233,7 @@ def quantum_table(setup):
 
 def _direction_obs(theta):
     """Observable cos(theta) sigma_z + sin(theta) sigma_x (x-z plane)."""
-    return np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
+    return np.cos(theta) * PAULI[2] + np.sin(theta) * PAULI[0]
 
 
 def singlet_setup():
@@ -266,11 +260,8 @@ def _sign_observable(m):
 
 def chsh_operator(setup):
     """A0(x)B0 + A0(x)B1 + A1(x)B0 - A1(x)B1 from the setup's POVMs."""
-    def obs(pair):
-        return pair[1] - pair[0]
-
-    a0, a1 = (obs(p) for p in setup.alice_effects)
-    b0, b1 = (obs(p) for p in setup.bob_effects)
+    a0, a1 = (plus - minus for minus, plus in setup.alice_effects)
+    b0, b1 = (plus - minus for minus, plus in setup.bob_effects)
     return (np.kron(a0, b0) + np.kron(a0, b1)
             + np.kron(a1, b0) - np.kron(a1, b1))
 

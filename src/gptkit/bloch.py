@@ -1,6 +1,9 @@
 """Bloch-ball machinery for the qubit and the verifiable consequences of
 the reconstruction: the density-matrix correspondence, the unitary to
 SO(3) rotation map, group averaging, and the dimension laws K = N^r.
+A density matrix, and the one a Bloch vector gives, is checked by
+``operators``, so both maps take the same states, and NaN or inf input
+is refused.
 
 Haar averages come in two forms: ``haar_so3`` returns the n rotations
 (for checks that need the samples), and ``haar_mean`` returns only their
@@ -11,39 +14,34 @@ import numpy as np
 
 from .errors import InvalidArgument, NotAState, TooFewSamples
 from .lp import FEASTOL
-
-PAULI = np.array([[[0, 1], [1, 0]],
-                  [[0, -1j], [1j, 0]],
-                  [[1, 0], [0, -1]]], dtype=complex)
+from .operators import PAULI, integer, require, state_defect
 
 
 def bloch_to_density(r):
-    """rho = (1 + r.sigma)/2 for a Bloch vector with |r| <= 1."""
+    """rho = (1 + r.sigma)/2 for a finite Bloch vector whose rho is a
+    state (``operators.state_defect``): its eigenvalues are (1 +- |r|)/2,
+    so |r| <= 1 + 2 FEASTOL, and ``density_to_bloch`` takes every rho
+    this returns."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise NotAState("Bloch vector must have 3 components")
-    if np.linalg.norm(r) > 1.0 + FEASTOL:
-        raise NotAState("|r| > 1")
-    return 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
-                           [r[0] + 1j * r[1], 1 - r[2]]])
+    if r.shape != (3,) or not np.isfinite(r).all():
+        raise NotAState("Bloch vector must have 3 finite components")
+    rho = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
+                          [r[0] + 1j * r[1], 1 - r[2]]])
+    return require(state_defect, rho, None, NotAState, "|r| > 1: rho")
 
 
 def density_to_bloch(rho):
-    """Inverse map: r_i = tr(rho sigma_i)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2) or np.abs(rho - rho.conj().T).max() > FEASTOL:
-        raise NotAState("need a 2x2 Hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > FEASTOL or \
-            np.linalg.eigvalsh(rho).min() < -FEASTOL:
-        raise NotAState("not a density matrix")
+    """Inverse map: r_i = tr(rho sigma_i), for a 2 x 2 density operator."""
+    rho = require(state_defect, rho, (2, 2), NotAState, "rho")
     return np.array([np.trace(rho @ s).real for s in PAULI])
 
 
 def unitary_to_rotation(u):
     """R_ij = tr(sigma_i U sigma_j U^dag) / 2; lands in SO(3)."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.abs(u.conj().T @ u - np.eye(2)).max() > FEASTOL:
-        raise InvalidArgument("input is not unitary")
+    if u.shape != (2, 2) or not np.isfinite(u).all() or \
+            not np.abs(u.conj().T @ u - np.eye(2)).max() <= FEASTOL:
+        raise InvalidArgument("input is not a finite 2 x 2 unitary")
     m = PAULI[:, None] @ u @ PAULI @ u.conj().T  # [i, j] = sigma_i U sigma_j U^dag
     return 0.5 * np.trace(m, axis1=2, axis2=3).real
 
@@ -55,9 +53,7 @@ HAAR_BLOCK = 2 ** 13
 
 def haar_so3(rng, n):
     """n Haar-uniform SO(3) matrices via normalized Gaussian quaternions."""
-    if n < 0:
-        raise InvalidArgument(f"sample count must be >= 0, got {n}")
-    q = rng.normal(size=(n, 4))
+    q = rng.normal(size=(integer(n, "sample count", 0), 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     w, x, y, z = q.T
     r = np.empty((n, 3, 3))
@@ -76,7 +72,7 @@ def haar_so3(rng, n):
 def haar_mean(rng, n):
     """Mean of the n rotations haar_so3(rng, n) would return, from the same
     normal draws, summed over blocks of HAAR_BLOCK samples."""
-    if n < 1:
+    if integer(n, "sample count") < 1:
         raise TooFewSamples("need at least one sample")
     total = np.zeros((3, 3))
     for start in range(0, n, HAAR_BLOCK):
@@ -124,8 +120,7 @@ def check_dimension_law(n_max=5):
     """K = N for classical and K = N^2 for quantum, N = 1..n_max, plus
     multiplicativity of K and supermultiplicativity of capacity on
     composites of classical and of quantum factors."""
-    if n_max < 2:
-        raise InvalidArgument("need n_max >= 2")
+    integer(n_max, "n_max", 2)
     from .composites import check_supermultiplicativity, min_tensor
     from .spaces import make_classical, make_quantum
 

@@ -184,12 +184,11 @@ def cmd_compose(args):
 
 def cmd_sorkin(args):
     from . import interference
+    from .operators import whole
 
     doc = _object(_read(args.exp))
-    m = doc["M"]
-    if not (isinstance(m, int) or isinstance(m, float) and m.is_integer()):
-        raise GptkitError("M must be a whole number")
-    exp = interference.SlitExperiment(m=int(m), rho=_complex(doc["rho"], "rho"),
+    exp = interference.SlitExperiment(m=whole(doc["M"]),
+                                      rho=_complex(doc["rho"], "rho"),
                                       q=_complex(doc["Q"], "Q"))
     out = {f"I{exp.m}": interference.sorkin(exp)}
     if args.blockers:

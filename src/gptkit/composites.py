@@ -10,16 +10,19 @@ products implies it for all product effects, so the list is exact.
 Composites go to and from JSON, factors included, as every space does.
 A ball or quantum factor is refused where its vertices are asked for
 (``enumerate_vertices``, ``UnsupportedKind``); the constructor refuses
-factors that are not polytopic.
+factors that are not polytopic.  Quantum (x) quantum states, outside the
+polytope machinery, are given by coordinates, checked as the quantum
+space of the product size checks a state's.
 """
 
 import numpy as np
 
 from . import geometry
-from .errors import DimensionMismatch, NotAState, ScaleLimit, UnsupportedKind
+from .errors import NotAState, ScaleLimit, UnsupportedKind
 from .lp import FEASTOL, WITNESS_TOL
-from .spaces import (Effect, Measurement, StateSpace, contains_state,
-                     coords_to_mat, enumerate_vertices, mat_to_coords)
+from .spaces import (Effect, Measurement, StateSpace, _check_dim,
+                     contains_state, coords_to_mat, enumerate_vertices,
+                     make_quantum, mat_to_coords)
 
 
 def effect_cone_generators(space):
@@ -85,9 +88,14 @@ def reduced_state(comp, omega_ab, side):
 
 
 def _product_operator(coords, dim_a, dim_b):
-    if np.shape(coords) != ((dim_a * dim_b) ** 2,):
-        raise DimensionMismatch("need (dim_a * dim_b)^2 coordinates")
-    return coords_to_mat(coords)
+    """The operator of coordinates in the Hermitian basis of size
+    dim_a dim_b, checked as that quantum space checks a state's
+    coordinates: ``DimensionMismatch`` for a wrong length,
+    ``InvalidArgument`` for a non-finite coordinate or a size that is not
+    an integer.  The operator is Hermitian by construction, so it needs no
+    further check."""
+    space = make_quantum(dim_a * dim_b)
+    return coords_to_mat(_check_dim(space, coords, "operator"))
 
 
 def quantum_product_reduced(rho_ab_coords, dim_a, dim_b, side):

@@ -6,7 +6,8 @@ open-slit subsets I.  I2 = P12 - P1 - P2 is generically nonzero in
 quantum mechanics; I3 = P123 - P12 - P13 - P23 + P1 + P2 + P3, and with
 it every higher I_m (Sorkin 1994), vanishes identically.  Replacing the
 orthogonal projectors by general trace-nonincreasing blocking maps
-breaks the identity.
+breaks the identity.  The state rho, the effect Q and a blocker's sum
+K^dag K are checked by ``operators``.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import (EmptySubset, InvalidArgument, InvalidKraus, ScaleLimit,
                      WrongSlitCount)
-from .lp import FEASTOL
+from .operators import effect_defect, integer, numbers, require, state_defect
 
 # Desk-scale limit: I_m sums 2^m - 1 traces, doubling its cost with each
 # slit, and a blocker file names a subset by one digit per open slit.
@@ -50,25 +51,14 @@ class SlitExperiment:
     q: np.ndarray
 
     def __post_init__(self):
-        if self.m < 2:
+        if integer(self.m, "slit count") < 2:
             raise WrongSlitCount("slit count must be at least 2")
         if self.m > MAX_SLITS:
             raise ScaleLimit(f"slit count above {MAX_SLITS}")
-        rho = np.asarray(self.rho, dtype=complex)
-        q = np.asarray(self.q, dtype=complex)
-        if rho.shape != (self.m, self.m) or q.shape != (self.m, self.m) or \
-                not (np.isfinite(rho).all() and np.isfinite(q).all()):
-            raise InvalidArgument("rho and q must be finite m x m matrices")
-        if np.abs(rho - rho.conj().T).max() > FEASTOL or \
-                abs(np.trace(rho).real - 1.0) > FEASTOL or \
-                np.linalg.eigvalsh(rho).min() < -FEASTOL:
-            raise InvalidArgument("rho is not a density matrix")
-        ev = np.linalg.eigvalsh((q + q.conj().T) / 2)
-        if np.abs(q - q.conj().T).max() > FEASTOL or ev.min() < -FEASTOL or \
-                ev.max() > 1 + FEASTOL:
-            raise InvalidArgument("q is not an effect (0 <= Q <= 1)")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "q", q)
+        for name, defect in (("rho", state_defect), ("q", effect_defect)):
+            op = require(defect, getattr(self, name), (self.m, self.m),
+                         InvalidArgument, name)
+            object.__setattr__(self, name, op)
 
 
 def _slit_projector(m, open_slits):
@@ -125,14 +115,13 @@ class BlockingMap:
     kraus: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = tuple(numbers(k) for k in self.kraus)
         if not ops or not all(np.isfinite(k).all() for k in ops):
             raise InvalidKraus("need one or more finite Kraus operators")
         if ops[0].ndim != 2 or any(k.shape != (len(ops[0]),) * 2 for k in ops):
             raise InvalidKraus("Kraus operators must be square matrices of one size")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.linalg.eigvalsh(total).max() > 1.0 + FEASTOL:
-            raise InvalidKraus("sum K^dag K exceeds the identity")
+        require(effect_defect, sum(k.conj().T @ k for k in ops), None,
+                InvalidKraus, "sum K^dag K")
         object.__setattr__(self, "kraus", ops)
 
     def __call__(self, rho):
@@ -202,7 +191,7 @@ def decomposition_residual(rho):
     rho is checked as ``SlitExperiment`` checks it: a square matrix with
     m < 2 raises ``WrongSlitCount``, m > MAX_SLITS ``ScaleLimit``, and
     anything but a finite density matrix ``InvalidArgument``."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = numbers(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidArgument("rho must be a square matrix")
     m = rho.shape[0]

@@ -45,6 +45,7 @@ from . import geometry, lp
 from .errors import (DimensionMismatch, InvalidArgument, NotAState,
                      NumericalFailure, ScaleLimit, SingularMap, UnsupportedKind)
 from .lp import BISECT_TOL, FEASTOL, RANK_TOL
+from .operators import effect_defect, integer, state_defect, whole
 
 # Desk-scale limit on N: the basis holds N^4 complex entries.  make_quantum(N),
 # mat_to_coords and contains_state in a fresh process (29 MB after numpy's
@@ -116,12 +117,9 @@ class StateSpace:
         for name in ("vertices", "ineqs", "factors", "hilbert_dim", "ball_dim"):
             if getattr(self, name) is not None and name not in cone.fields:
                 raise InvalidArgument(f"{name} given for a {self.kind} space")
-        for name in ("hilbert_dim", "ball_dim"):
-            n = getattr(self, name)
-            if n is not None:
-                if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                    raise InvalidArgument(f"{name} must be an integer, got {n!r}")
-                object.__setattr__(self, name, int(n))
+        for name in ("ambient_dim", "hilbert_dim", "ball_dim"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, integer(getattr(self, name), name, 1))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.u.shape != (self.ambient_dim,):
             raise DimensionMismatch(f"u has shape {self.u.shape}, "
@@ -207,16 +205,14 @@ class LinearMap:
 
 def make_classical(n):
     """Classical N-outcome space: the probability simplex."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
+    integer(n, "n", 1)
     return StateSpace(kind="polytopic", ambient_dim=n,
                       u=np.ones(n), vertices=np.eye(n))
 
 
 def make_quantum(n):
     """Quantum N-level space in the fixed Hermitian coordinate basis."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
+    integer(n, "n", 1)
     hermitian_basis(n)  # ScaleLimit above MAX_HILBERT_DIM, before np.eye(n)
     u = mat_to_coords(np.eye(n))
     return StateSpace(kind="quantum", ambient_dim=n * n, u=u, hilbert_dim=n)
@@ -234,8 +230,7 @@ def make_gbit():
 
 def make_ball(d):
     """Ball space of dimension d: states (1, r) with |r| <= 1."""
-    if d < 1:
-        raise InvalidArgument("need d >= 1")
+    integer(d, "d", 1)
     u = np.zeros(d + 1)
     u[0] = 1.0
     return StateSpace(kind="ball", ambient_dim=d + 1, u=u, ball_dim=d)
@@ -486,14 +481,10 @@ class _Quantum(_Cone):
         return np.eye(min(n, space.hilbert_dim), space.ambient_dim)
 
     def contains(self, space, x):
-        rho = coords_to_mat(x)
-        if abs(np.trace(rho).real - 1.0) > FEASTOL:
-            return False
-        return np.linalg.eigvalsh(rho).min() >= -FEASTOL
+        return state_defect(coords_to_mat(x)) is None
 
     def is_effect(self, space, c):
-        ev = np.linalg.eigvalsh(coords_to_mat(c))
-        return ev.min() >= -FEASTOL and ev.max() <= 1.0 + FEASTOL
+        return effect_defect(coords_to_mat(c)) is None
 
     def is_pure(self, space, omega):
         return np.linalg.eigvalsh(coords_to_mat(omega)).max() >= 1.0 - FEASTOL
@@ -739,11 +730,8 @@ def _space_from_doc(doc):
         raise InvalidArgument("a space is a JSON object")
     kind = doc["kind"]
     if kind in ("quantum", "ball"):
-        key = "N" if kind == "quantum" else "d"
-        n = doc[key]
-        if not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
-            raise InvalidArgument(f"{key!r} must be a whole number")
-        return (make_quantum if kind == "quantum" else make_ball)(int(n))
+        return (make_quantum if kind == "quantum" else make_ball)(
+            whole(doc["N" if kind == "quantum" else "d"]))
     if kind not in ("polytopic", "min", "max"):
         raise InvalidArgument(f"unknown state-space kind {kind!r}")
     factors = doc.get("factors")
