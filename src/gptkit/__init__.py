@@ -12,7 +12,7 @@ Submodules and the names re-exported here are imported on first access
 from importlib import import_module as _import_module
 
 _SUBMODULES = ("bell", "bloch", "composites", "distinguish", "errors",
-               "geometry", "interference", "lp", "spaces")
+               "geometry", "interference", "lp", "operators", "spaces")
 _EXPORTS = {
     "bell": ("ProbTable222", "chsh", "classical_membership",
              "deterministic_tables", "expectation", "is_nonsignalling",

@@ -23,7 +23,7 @@ from . import lp
 from .errors import (InvalidArgument, InvalidSetup, InvalidTable, NotAState,
                      NumericalFailure)
 from .lp import DEDUP_TOL, FEASTOL, MODEL_TOL, PROB_TOL
-from .operators import PAULI, effect_defect, require, state_defect
+from .operators import PAULI, effect_defect, numbers, require, state_defect
 
 OUTCOMES = (-1, +1)
 INPUTS = (0, 1)
@@ -212,11 +212,17 @@ class QubitBellSetup:
 
 
 def observable_setup(state, alice_obs, bob_obs):
-    """Setup from +-1-valued observables A_x, B_y via E = (1 +- A)/2."""
+    """Setup from +-1-valued observables A_x, B_y via E = (1 +- A)/2.  The
+    state and each observable are read by ``operators.numbers``, so that
+    ``QubitBellSetup.validate`` refuses a ragged or non-numeric one, or an
+    observable that is not 2 x 2, with ``InvalidSetup``."""
     def povm(a):
+        a = numbers(a)
+        if a.shape != (2, 2):
+            return a, a
         return ((np.eye(2) - a) / 2, (np.eye(2) + a) / 2)
 
-    return QubitBellSetup(state=np.asarray(state, dtype=complex),
+    return QubitBellSetup(state=numbers(state),
                           alice_effects=tuple(povm(a) for a in alice_obs),
                           bob_effects=tuple(povm(b) for b in bob_obs))
 

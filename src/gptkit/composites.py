@@ -145,8 +145,7 @@ def check_supermultiplicativity(a, b, comp=None):
     more than ``distinguish.MAX_SUBSETS`` subsets.  A factor with no
     default candidates (a ball) raises ``UnsupportedKind``.
     """
-    factors = [space._cone.with_vertices(space) for space in (a, b)]
-    candidates = [f._cone.candidates(f, f.ambient_dim) for f in factors]
+    candidates = [f._cone.candidates(f, f.ambient_dim) for f in (a, b)]
     if any(c is None for c in candidates):
         raise UnsupportedKind("supermultiplicativity check needs quantum or "
                               "polytopic factors")
@@ -155,7 +154,7 @@ def check_supermultiplicativity(a, b, comp=None):
     from .distinguish import DistinguishabilityWitness, _largest_distinguishable
 
     wa, wb = (_largest_distinguishable(f, c, f.ambient_dim)
-              for f, c in zip(factors, candidates))
+              for f, c in zip((a, b), candidates))
     na, nb = len(wa.states), len(wb.states)
     prod_states = [product_state(sa, sb) for sa in wa.states for sb in wb.states]
     prod_effects = [Effect(np.kron(ea.coeffs, eb.coeffs))

@@ -98,7 +98,6 @@ def capacity(space, candidates=None, n_max=8):
     """
     if n_max < 1:
         raise InvalidArgument("need n_max >= 1")
-    space = space._cone.with_vertices(space)
     if candidates is None:
         candidates = space._cone.candidates(space, n_max)
         if candidates is None:

@@ -70,8 +70,9 @@ def _slit_projector(m, open_slits):
 
 
 def click_probability(exp, open_slits):
-    """tr(P_I rho P_I Q) for the given open-slit subset (1-based)."""
-    open_slits = tuple(sorted(set(open_slits)))
+    """tr(P_I rho P_I Q) for the given open-slit subset (1-based); each
+    slit index must be an integer (``operators.integer``)."""
+    open_slits = tuple(sorted({integer(i, "slit index") for i in open_slits}))
     if not open_slits:
         raise EmptySubset("at least one slit must be open")
     if any(i < 1 or i > exp.m for i in open_slits):

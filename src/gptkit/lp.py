@@ -30,15 +30,16 @@ y is solved for from the basis columns of the original [A | I], not read
 off the tableau (a basic surplus is a column of A), and re-checked before
 the verdict is returned.
 
-Hull membership (``Hull.weights``, ``hull_weights``: is x a convex
-combination of given points?) tries one certificate per verdict before it
-poses the LP: a centroid-ray Farkas vector for "outside", least-norm
-weights for "inside" (``Hull.weights`` gives each and the check it must
-pass).  When neither holds, the LP is posed as it would be without them.
-A ``Hull`` checks [P^T; 1^T] and forms the centroid when it is built, and
-the pseudo-inverse on the first query that reaches the least-norm guess;
-a vertex ``StateSpace`` and ``bell.classical_membership`` each keep one
-and check each query x themselves, as ``hull_weights`` does for its own.
+Hull membership (``Hull.weights``: is x a convex combination of given
+points, or of those left when some are dropped?) tries one certificate per
+verdict before it poses the LP: a centroid-ray Farkas vector for
+"outside", least-norm weights for "inside" (``Hull.weights`` gives each
+and the check it must pass).  When neither holds, the LP is posed as it
+would be without them.  A ``Hull`` checks [P^T; 1^T] and forms the
+centroid when it is built, and the pseudo-inverse on the first query that
+reaches the least-norm guess; a vertex ``StateSpace`` and
+``bell.classical_membership`` each keep one and check each query x
+themselves.
 """
 
 from dataclasses import dataclass, field
@@ -296,14 +297,15 @@ def _check_feasible(prob, x):
 
 class Hull:
     """The rows of ``points`` as a point set for repeated ``weights``
-    queries, each query point checked by the caller.
+    queries, each query point checked by the caller, over all the points or
+    over those a boolean mask ``drop`` leaves.
 
     [points^T; 1^T] is formed, in the memory order of points, and checked
     (2-D, at least one point, finite) and the centroid taken when the hull
     is built; its pseudo-inverse (singular values below RANK_TOL times the
     largest dropped) on the first query that reaches the least-norm guess.
-    A hull made by ``without`` takes its least-norm weights from its
-    parent's.
+    A query with ``drop`` works on the column selection a[:, ~drop], with
+    the centroid of the points it keeps.
     """
 
     def __init__(self, points):
@@ -322,100 +324,80 @@ class Hull:
         a.flags.writeable = False
         self.a = a
         self.centroid = a[:-1].sum(axis=1) / k
-        self._parent = None  # (parent hull, dropped mask) after ``without``
 
     @cached_property
     def _pinv(self):
         return np.linalg.pinv(self.a, rcond=RANK_TOL)
 
-    def without(self, drop):
-        """The hull of the points not marked in the boolean mask ``drop``.
-        When one point is dropped, its least-norm weights come from this
-        hull's pseudo-inverse, with no SVD of its own.  Its matrix is
-        column-major, as numpy lays out the column selection a[:, ~drop],
-        so its centroid and products keep that selection's last bits."""
-        hull = Hull(np.asfortranarray(self.a[:-1, ~drop].T))
-        hull._parent = (self, drop)
-        return hull
+    def _least_norm(self, b, a, drop):
+        """A'^+ b, the least-norm w with A' w = b when b is in the range of
+        A' = a, the columns of A = self.a not marked in ``drop``.
 
-    def _least_norm(self, b):
-        """A^+ b, the least-norm w with A w = b when b is in A's range.
-
-        On a hull made by ``without`` from a parent with matrix A and
-        pseudo-inverse P, dropping column j: with w = P b and Pi = P A, the
+        With every column kept, A' = A and its kept pseudo-inverse P gives
+        P b.  With one column j dropped: with w = P b and Pi = P A, the
         least-norm solution of A w' = b with w'_j = 0 is w minus
         w_j / (1 - Pi_jj) times the null-space vector (I - Pi) e_j of A,
         whose other entries are those of w + (Pi e_j) w_j / (1 - Pi_jj).
         That holds while 1 - Pi_jj > 0, that is, while the other columns
-        span what A's do; otherwise this hull's own SVD gives A^+ b.
+        span what A's do; otherwise, and when more columns are dropped, an
+        SVD of A' gives A'^+ b.
         """
-        if self._parent is not None and self._parent[1].sum() == 1:
-            parent, drop = self._parent
+        if drop is None:
+            return self._pinv @ b
+        if np.count_nonzero(drop) == 1:
             j = drop.argmax()
-            w = parent._pinv @ b
-            pi_j = parent._pinv @ parent.a[:, j]
+            w = self._pinv @ b
+            pi_j = self._pinv @ self.a[:, j]
             rest = 1.0 - pi_j[j]
             if rest > RANK_TOL:
                 w += pi_j * (w[j] / rest)
                 return w[~drop]
-        return self._pinv @ b
+        return np.linalg.pinv(a, rcond=RANK_TOL) @ b
 
-    def weights(self, x):
-        """Weights w >= 0 with sum(w) = 1 and w @ points = x, or None when
-        x is outside the convex hull of the points.
+    def weights(self, x, drop=None):
+        """Weights w >= 0 with sum(w) = 1 and w @ points = x over the points
+        not marked in the boolean mask ``drop`` (all of them when it is
+        None), or None when x is outside their convex hull;
+        ``DimensionMismatch`` when ``drop`` marks every point.
 
         x is a float vector of length points.shape[1] with finite entries,
         as its caller has checked.  Every None is certified by a Farkas
-        vector y for A w = b, A = [points^T; 1^T], b = [x; 1].  The first
-        tried, before any LP, is the centroid ray: with d = x - centroid,
-        pd = points @ d and top = max(pd), y = (d, -top) / |(d, -top)|_1
-        has y.A = (pd - top) / |y|_1 <= 0 exactly, and y.b = (d.x - top) /
-        |y|_1, the margin by which the plane d.z = top separates x from the
-        points, is held to ``_refutes``'s bound with no y formed.  If it
-        falls short (x inside, or only another plane separates), the
-        least-norm w = A^+ b is tried: it is returned when its entries are
-        all >= 0 and it meets A w = b within LEAST_NORM_TOL by
-        ``_violation``, the rule ``solve`` checks its own x against at
-        FEASTOL.  Otherwise the LP decides, and its own certificate backs a
-        None.  Neither guess contradicts the LP: LP weights leave residuals
-        within FEASTOL, so they would bound y.b by FEASTOL < CERT_TOL, and
-        the accepted w is feasible to rounding, a thousandth of the LP's
-        tolerance, so it is not taken where x is off the points' affine
-        hull by more than rounding and the LP fails.
+        vector y for A w = b, with A = [points^T; 1^T] over the kept points
+        and b = [x; 1].  The first tried, before any LP, is the centroid
+        ray: with d = x - centroid, pd = points @ d and top = max(pd),
+        y = (d, -top) / |(d, -top)|_1 has y.A = (pd - top) / |y|_1 <= 0
+        exactly, and y.b = (d.x - top) / |y|_1, the margin by which the
+        plane d.z = top separates x from the points, is held to
+        ``_refutes``'s bound with no y formed.  If it falls short (x inside,
+        or only another plane separates), the least-norm w = A^+ b is tried
+        (``_least_norm``): it is returned when its entries are all >= 0 and
+        it meets A w = b within LEAST_NORM_TOL by ``_violation``, the rule
+        ``solve`` checks its own x against at FEASTOL.  Otherwise the LP
+        decides, and its own certificate backs a None.  Neither guess
+        contradicts the LP: LP weights leave residuals within FEASTOL, so
+        they would bound y.b by FEASTOL < CERT_TOL, and the accepted w is
+        feasible to rounding, a thousandth of the LP's tolerance, so it is
+        not taken where x is off the points' affine hull by more than
+        rounding and the LP fails.
         """
-        d = x - self.centroid
-        pd = d @ self.a[:-1]
+        a, centroid = self.a, self.centroid
+        if drop is not None:
+            a = a[:, ~drop]
+            if a.shape[1] == 0:
+                raise DimensionMismatch("need at least one point")
+            centroid = a[:-1].sum(axis=1) / a.shape[1]
+        d = x - centroid
+        pd = d @ a[:-1]
         top = pd.max()
         norm = np.abs(d).sum() + abs(top)
         if d @ x - top > CERT_TOL * max(1.0, np.abs(x).max()) * norm:
             return None
-        b = np.ones(self.a.shape[0])
+        b = np.ones(a.shape[0])
         b[:-1] = x
-        w = self._least_norm(b)
+        w = self._least_norm(b, a, drop)
         # >= 0 exactly, not to FEASTOL: a Bell table rebuilt from the
         # weights may fall below 0 only by rounding (PROB_TOL)
-        if (w.min() >= 0.0
-                and _violation(w, self.a, b, tol=LEAST_NORM_TOL) is None):
+        if w.min() >= 0.0 and _violation(w, a, b, tol=LEAST_NORM_TOL) is None:
             return w
-        res = solve(LpProblem(n_vars=self.a.shape[1], a_eq=self.a, b_eq=b))
+        res = solve(LpProblem(n_vars=a.shape[1], a_eq=a, b_eq=b))
         return res.x if res.status == "optimal" else None
-
-
-def hull_weights(points, x):
-    """``Hull(points).weights(x)``: weights w >= 0 with sum(w) = 1 and
-    w @ points = x, or None when x is outside the convex hull of the rows
-    of ``points``.  ``points`` must be 2-D with at least one row and finite
-    entries, and x (checked here, not by ``Hull.weights``) a vector as long
-    as a row (``DimensionMismatch``) with finite entries (``InvalidArgument``).
-    One guess per verdict comes before the LP (``Hull.weights``): the
-    centroid ray for "outside", and the least-norm weights for "inside".
-    This one-off hull builds its pseudo-inverse only when the centroid ray
-    does not refute x.
-    """
-    hull = Hull(points)
-    if np.ndim(x) != 1 or len(x) != hull.a.shape[0] - 1:
-        raise DimensionMismatch("need x as a vector as long as a point")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise InvalidArgument("x has a non-finite entry")
-    return hull.weights(x)

@@ -3,8 +3,9 @@
 Three kinds of state space are supported:
 
 * polytopic -- a polytope in R^K given by its vertices, by rows r with
-  r.x >= 0 (``ineqs``), or both; ``enumerate_vertices`` computes the
-  vertices of an ``ineqs`` space and leaves the space as it was,
+  r.x >= 0 (``ineqs``), or both; an ``ineqs`` space computes its
+  vertices once, on the first question that needs them, and keeps them
+  beside its fields, not in them,
 * quantum   -- density matrices of size N, coordinatized in a fixed
   orthonormal Hermitian basis so states are plain real vectors of
   length N^2, with u the trace (1, ..., 1, 0, ..., 0),
@@ -35,7 +36,7 @@ space never changes once built.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import combinations
 
@@ -140,6 +141,13 @@ class StateSpace:
     def _listed(self):
         """The vertices as a set of tuples, kept as ``_hull`` is."""
         return frozenset(map(tuple, self.vertices.tolist()))
+
+    @cached_property
+    def _vertices(self):
+        """The vertices, listed or else enumerated by the space's kind
+        (``UnsupportedKind`` for a ball or quantum space), read-only and
+        kept as ``_hull`` is; the space's fields and JSON stay as given."""
+        return self._cone.vertices(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,17 +273,14 @@ class _Cone:
     """One kind of state space.  Each kind names the optional fields it
     takes (``fields``), checks a space as it is built (``check``), and
     answers ``contains``, ``is_effect``, ``is_pure``, ``pure_states``, the
-    vertices, the effect coefficients of a distinguishability witness
-    (``witness``, or None) and the default capacity candidates.  The
-    defaults here are those of a kind whose states span its space and
-    which has no vertices: the ball and quantum kinds."""
+    vertices (once per space: ``StateSpace._vertices`` keeps them), the
+    effect coefficients of a distinguishability witness (``witness``, or
+    None) and the default capacity candidates.  The defaults here are
+    those of a kind whose states span its space and which has no
+    vertices: the ball and quantum kinds."""
 
     def vertices(self, space):
         raise UnsupportedKind("needs the vertices of a polytopic space")
-
-    def with_vertices(self, space):
-        """The space, or a copy holding the vertices of an ``ineqs`` space."""
-        return space
 
     def candidates(self, space, n):
         """States for a capacity search of sizes up to n, or None when the
@@ -337,7 +342,7 @@ class _Polytope(_Cone):
     def candidates(self, space, n):
         """The vertices: distinguishable states of a polytope can be
         replaced by extremal ones, so a search over them is exact."""
-        return self.vertices(space)
+        return enumerate_vertices(space)
 
     def pure_states(self, space, n_samples, seed):
         return enumerate_vertices(space)
@@ -412,7 +417,7 @@ class _VertexPolytope(_Polytope):
             return False
         if copies.all():
             return True
-        return space._hull.without(copies).weights(omega) is None
+        return space._hull.weights(omega, drop=copies) is None
 
 
 class _IneqsPolytope(_Polytope):
@@ -420,9 +425,8 @@ class _IneqsPolytope(_Polytope):
     too): membership is one product, purity one rank, an effect two LPs."""
 
     def vertices(self, space):
-        """Listed vertices, else double description on each call, each
-        vertex certified from the rows alone: feasible, with full-rank
-        tight rows."""
+        """Listed vertices, else double description, each vertex certified
+        from the rows alone: feasible, with full-rank tight rows."""
         if space.vertices is not None:
             return space.vertices
         verts = geometry.polytope_vertices(space.ineqs, space.u)
@@ -433,11 +437,8 @@ class _IneqsPolytope(_Polytope):
             if not self.is_pure(space, v):
                 raise NumericalFailure(
                     "double description produced a non-extremal point")
+        verts.flags.writeable = False
         return verts
-
-    def with_vertices(self, space):
-        return (space if space.vertices is not None
-                else replace(space, vertices=enumerate_vertices(space)))
 
     def contains(self, space, x):
         return (abs(space.u @ x - 1.0) <= FEASTOL
@@ -568,7 +569,12 @@ _VERTICES, _INEQS, _QUANTUM, _BALL = (_VertexPolytope(), _IneqsPolytope(),
 # decision procedures
 
 def _check_dim(space, x, what):
-    x = np.asarray(x, dtype=float)
+    """x as a float vector as long as the space's (``DimensionMismatch``,
+    also for ragged or non-numeric input) with finite entries."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        x = np.empty(0)
     if x.shape != (space.ambient_dim,):
         raise DimensionMismatch(f"expected length {space.ambient_dim}, got {x.shape}")
     if not np.isfinite(x).all():
@@ -577,11 +583,12 @@ def _check_dim(space, x, what):
 
 
 def enumerate_vertices(space):
-    """The vertices of a polytopic space (``UnsupportedKind`` for a ball or
-    quantum space).  An ``ineqs`` space gets them by double description on
-    each call, each certified from the rows alone: feasible, with full-rank
-    tight rows.  The space is not changed."""
-    return space._cone.vertices(space)
+    """The vertices of a polytopic space, read-only (``UnsupportedKind`` for
+    a ball or quantum space).  An ``ineqs`` space gets them by double
+    description on the first call, each certified from the rows alone:
+    feasible, with full-rank tight rows, and keeps them for every later
+    question; its fields, and so its JSON, do not change."""
+    return space._vertices
 
 
 def contains_state(space, x):
@@ -614,10 +621,10 @@ def is_pure(space, omega):
 
     On an ``ineqs`` space, the rank of the rows tight at omega decides.  On
     a vertex space, omega must be a listed vertex outside the hull of the
-    vertices away from it (every copy of omega dropped): the space's
-    ``lp.Hull`` without those copies (``lp.Hull.without``), whose centroid
-    ray or least-norm weights, from the space's kept pseudo-inverse, often
-    settle it with no LP and no new SVD.
+    vertices away from it: the space's ``lp.Hull`` asked with every copy of
+    omega dropped (``lp.Hull.weights``), whose centroid ray or least-norm
+    weights, from the space's kept pseudo-inverse, often settle it with no
+    LP and no new SVD.
     """
     omega = _check_dim(space, omega, "state")
     if not space._cone.contains(space, omega):
@@ -695,14 +702,13 @@ def are_equivalent(space_a, space_b, l, n_samples=1000, seed=0):
         return False
     if not lmap.is_invertible():
         raise SingularMap("equivalence requires an invertible map")
-    a = space_a._cone.with_vertices(space_a)
-    b = a if space_b is space_a else space_b._cone.with_vertices(space_b)
     # one draw per space: a map of a space onto itself tests the images of
     # the same seeded pure states in both directions
     pure_states = cache(
         lambda space: _sampled_pure_states(space, n_samples, seed))
-    return (a._cone.maps_into(a, b, m, pure_states) and
-            b._cone.maps_into(b, a, np.linalg.inv(m), pure_states))
+    return (space_a._cone.maps_into(space_a, space_b, m, pure_states) and
+            space_b._cone.maps_into(space_b, space_a, np.linalg.inv(m),
+                                    pure_states))
 
 
 # ---------------------------------------------------------------------------

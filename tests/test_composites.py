@@ -14,7 +14,7 @@ from gptkit.errors import (DimensionMismatch, InvalidArgument, NumericalFailure,
 from gptkit.spaces import (Effect, Measurement, contains_state, is_effect,
                            is_pure, is_reversible_transformation, make_ball,
                            make_classical, make_gbit, make_quantum,
-                           mat_to_coords)
+                           mat_to_coords, space_to_json)
 
 from .conftest import polygon
 
@@ -295,6 +295,7 @@ def test_ineqs_verdicts_match_vertex_hull(a, b):
     # centroid: the row test and the hull LP over the vertices must agree
     comp = max_tensor(a, b)
     verts = enumerate_vertices(comp)
+    hull = lp.Hull(verts)
     centre = verts.mean(axis=0)
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -302,7 +303,7 @@ def test_ineqs_verdicts_match_vertex_hull(a, b):
         t = rng.uniform()
         chord = t * verts[i] + (1 - t) * verts[j]
         x = centre + rng.uniform(0.95, 1.05) * (chord - centre)
-        assert contains_state(comp, x) == (lp.hull_weights(verts, x) is not None)
+        assert contains_state(comp, x) == (hull.weights(x) is not None)
     assert all(is_pure(comp, v) for v in verts)
 
 
@@ -385,17 +386,25 @@ SWAP = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
     ids=["capacity", "distinguishable", "supermultiplicativity",
          "supermultiplicativity-factor", "reversible", "min-tensor"])
 def test_one_enumeration_per_call(monkeypatch, question):
-    # enumerate_vertices does not keep its answer, so each public call finds
-    # the vertices once and passes them down
+    # an ineqs space keeps the vertices it enumerates: asked again, the
+    # same question, and any other, finds no space's vertices twice; the
+    # rows of every enumerated space are kept, so no two share an id
     calls = []
     enumerate_rows = geometry.polytope_vertices
     monkeypatch.setattr(geometry, "polytope_vertices",
-                        lambda ineqs, u: calls.append(1)
+                        lambda ineqs, u: calls.append(ineqs)
                         or enumerate_rows(ineqs, u))
     comp = max_tensor(make_gbit(), make_gbit())
-    assert question(comp) is not None
-    assert len(calls) <= 1
-    assert comp.vertices is None
+    written = space_to_json(comp)
+    for _ in range(3):
+        assert question(comp) is not None
+    verts = enumerate_vertices(comp)
+    assert len({id(rows) for rows in calls}) == len(calls)
+    assert [rows is comp.ineqs for rows in calls].count(True) == 1
+    assert comp.vertices is None and space_to_json(comp) == written
+    assert enumerate_vertices(comp) is verts and not verts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        verts[0, 0] = 2.0
 
 
 def test_one_state_on_nested_max_composite_needs_no_enumeration(monkeypatch):

@@ -33,6 +33,9 @@ OLD_EXPORTS = {
 OLD_SUBMODULES = ["bell", "bloch", "composites", "distinguish", "errors",
                   "geometry", "interference", "lp", "spaces"]
 OLD_NAMES = OLD_SUBMODULES + [n for names in OLD_EXPORTS.values() for n in names]
+# Submodules the namespace has listed since: the one operator check.
+SUBMODULES = OLD_SUBMODULES + ["operators"]
+NAMES = OLD_NAMES + ["operators"]
 
 # Runs the CLI as ``python -m gptkit.cli`` would, with the arguments given,
 # and prints the gptkit submodules loaded by the end to stderr.  (``-X
@@ -116,15 +119,26 @@ def test_reexported_name_is_the_home_modules(home, name):
 
 
 def test_submodules_resolve():
-    for name in OLD_SUBMODULES:
+    for name in SUBMODULES:
         assert getattr(gptkit, name) is importlib.import_module(f"gptkit.{name}")
 
 
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_resolves_in_a_fresh_interpreter(name):
+    # there no other module has imported it yet, so dir() must list it and
+    # the package's __getattr__ must resolve it
+    res = subprocess.run(
+        [sys.executable, "-c",
+         f"import gptkit; print({name!r} in dir(gptkit), gptkit.{name}.__name__)"],
+        capture_output=True, text=True, env=_env(), check=True)
+    assert res.stdout.split() == ["True", f"gptkit.{name}"]
+
+
 def test_namespace_lists_the_old_names():
-    assert set(OLD_NAMES) <= set(dir(gptkit))
+    assert set(NAMES) <= set(dir(gptkit))
     namespace = {}
     exec("from gptkit import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(OLD_NAMES)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
 
 
 def test_unknown_name_raises_attribute_error():

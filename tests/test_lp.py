@@ -56,11 +56,11 @@ def test_point_outside_hull_infeasible():
 def test_hull_weights():
     square = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     x = np.array([0.5, -0.25])
-    w = lp.hull_weights(square, x)
+    w = _hull_weights(square, x)
     assert w.min() >= 0.0
     assert abs(w.sum() - 1.0) <= lp.FEASTOL
     assert np.abs(w @ square - x).max() <= lp.FEASTOL
-    assert lp.hull_weights(square, np.array([1.5, 0.0])) is None
+    assert _hull_weights(square, np.array([1.5, 0.0])) is None
 
 
 def test_deterministic_repeats():
@@ -214,6 +214,11 @@ def test_non_finite_problem_rejected(where, bad):
         lp.LpProblem(n_vars=2, **fields)
 
 
+def _hull_weights(points, x):
+    """The weights of x over a one-off hull of the points."""
+    return lp.Hull(points).weights(x)
+
+
 def _weights_or_failure(hull, points, x):
     """hull(points, x), or the NumericalFailure it raised."""
     try:
@@ -277,7 +282,7 @@ def test_hull_shortcut_matches_lp(monkeypatch):
     for n, (points, x, inside) in enumerate(_hull_cases(2000)):
         direct = _weights_or_failure(_lp_only, points, x)
         before = len(posed)
-        w = _weights_or_failure(lp.hull_weights, points, x)
+        w = _weights_or_failure(_hull_weights, points, x)
         guessed = len(posed) == before
         refuted += guessed and w is None
         certified += guessed and w is not None
@@ -313,7 +318,7 @@ def test_centroid_ray_refutations_pass_refutes(monkeypatch):
     refuted = 0
     for points, x, _ in _hull_cases(2000):
         before = len(posed)
-        if (_weights_or_failure(lp.hull_weights, points, x) is None
+        if (_weights_or_failure(_hull_weights, points, x) is None
                 and len(posed) == before):
             hull = lp.Hull(points)
             d = x - hull.centroid
@@ -343,7 +348,7 @@ def test_hull_shortcut_refutes_without_lp(monkeypatch):
     gbit = make_gbit()
     inner = np.array([0.25, -0.5, 1.0])
     assert contains_state(gbit, inner)
-    w = lp.hull_weights(gbit.vertices, inner)
+    w = gbit._hull.weights(inner)
     assert np.abs(w - [0.3125, 0.0625, 0.1875, 0.4375]).max() <= 1e-12
     corner = np.array([0.9, 0.9, 1.0])
     assert abs((gbit._hull._pinv @ np.append(corner, 1.0))[0] + 0.2) <= 1e-12
@@ -406,11 +411,12 @@ def _pinv_calls(monkeypatch):
     return calls
 
 
-def test_hull_without_one_point_reuses_the_pseudo_inverse(monkeypatch):
+def test_hull_drop_set_reuses_the_pseudo_inverse(monkeypatch):
     # with one point dropped, the least-norm weights of the rest come from
-    # the parent's pseudo-inverse and equal a fresh SVD's; with every copy
-    # of a point dropped, or a vertex that takes a dimension with it, the
-    # smaller hull makes its own SVD
+    # the hull's own pseudo-inverse and equal a fresh SVD's; with every
+    # copy of a point dropped, or a vertex that takes a dimension with it,
+    # the kept columns get one SVD; with every point dropped there is no
+    # hull to ask
     rng = np.random.default_rng(28)
     cases = []
     for dim, k in ((3, 6), (4, 12), (6, 48), (8, 96)):
@@ -426,13 +432,22 @@ def test_hull_without_one_point_reuses_the_pseudo_inverse(monkeypatch):
         hull._pinv
         b = np.append(rng.uniform(-1.0, 1.0, size=points.shape[1]), 1.0)
         calls = _pinv_calls(monkeypatch)
-        got = hull.without(drop)._least_norm(b)
+        got = hull._least_norm(b, hull.a[:, ~drop], drop)
         assert calls == svds
         monkeypatch.undo()
         want = np.linalg.pinv(lp.Hull(points[~drop]).a, rcond=lp.RANK_TOL) @ b
         assert np.abs(got - want).max() <= 1e-10
+        # a query over the kept points answers as a hull of them alone
+        kept = lp.Hull(points[~drop])
+        for x in (points[~drop].mean(axis=0), points[drop][0],
+                  rng.uniform(-1.0, 1.0, size=points.shape[1])):
+            w, alone = hull.weights(x, drop), kept.weights(x)
+            assert (w is None) == (alone is None)
+            if w is not None:
+                assert w.shape == alone.shape and w.min() >= -lp.FEASTOL
+                assert np.abs(w @ points[~drop] - x).max() <= lp.FEASTOL
     with pytest.raises(DimensionMismatch, match="at least one point"):
-        hull.without(np.ones(len(points), dtype=bool))
+        hull.weights(points[0], np.ones(len(points), dtype=bool))
 
 
 def test_is_pure_reuses_the_space_pseudo_inverse(monkeypatch):
@@ -452,15 +467,21 @@ def test_hull_shortcut_guards():
     # no input reaches the guess's arithmetic unchecked: a NaN or a division
     # by zero there would warn, and a warning fails this test
     points = np.random.default_rng(4).normal(size=(6, 3))
+    first = np.eye(6, dtype=bool)[0]
+    # a Hull takes each query x as its caller checked it: here a vertex
+    # space over the points, lifted to u = e_3
+    space = make_polytopic(np.hstack([points, np.ones((6, 1))]), np.eye(4)[3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # x at the centroid has no ray: the LP decides
-        assert lp.hull_weights(points, points.mean(axis=0)) is not None
+        # x at the centroid of the points asked has no ray: the LP decides
+        assert _hull_weights(points, points.mean(axis=0)) is not None
+        assert lp.Hull(points).weights(points[1:].mean(axis=0), first) is not None
+        assert contains_state(space, space.vertices.mean(axis=0))
         with pytest.raises(DimensionMismatch):
-            lp.hull_weights(points, np.zeros(4))
+            contains_state(space, np.zeros(5))
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(InvalidArgument, match="non-finite"):
-                lp.hull_weights(points, np.array([bad, 0.0, 0.0]))
+                contains_state(space, np.array([bad, 0.0, 0.0, 1.0]))
 
 
 @pytest.mark.parametrize("points, x", [
@@ -473,8 +494,11 @@ def test_hull_shortcut_guards():
 ], ids=["x 2-d", "x string", "x too short", "x scalar", "points 1-d",
         "points 3-d"])
 def test_hull_weights_shape_errors(points, x):
+    # a Hull checks its points once; each query x is checked by its caller,
+    # here contains_state on a vertex space of points as long as x must be
     with pytest.raises(DimensionMismatch):
-        lp.hull_weights(points, x)
+        lp.Hull(points)
+        contains_state(make_polytopic(np.eye(3), np.ones(3)), x)
 
 
 def _reference_standard_form(prob):

@@ -9,7 +9,10 @@ NaN effect passed ``QubitBellSetup.validate``, 3 x 3 effects and a NaN
 state raised numpy errors, a one-input setup passed ``validate`` and
 failed later in ``quantum_table``, the Bloch maps returned NaN arrays for
 NaN input, ``sampled_block_positive`` called all-NaN coordinates block
-positive, and a float or bool size reached numpy.
+positive, and a float or bool size reached numpy.  Rows whose id starts
+with "found" raised numpy's errors later: a ragged state or observable in
+``bell.observable_setup``, and a slit index that is not an integer in
+``interference.click_probability``.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ INF = np.diag([1.0, np.inf])
 NONHERM = np.array([[0.5, 5.0], [0.0, 0.5]])  # trace 1, eigenvalues 1/2
 RAGGED = [[0.5, 0.0], [0.5]]
 ANTI = np.array([[0, 1e-3], [-1e-3, 0]])  # added to a state: not Hermitian
+Z = operators.PAULI[2]
 
 
 def _setup(state=np.eye(4) / 4, alice=(PAIR, PAIR), bob=(PAIR, PAIR)):
@@ -36,6 +40,10 @@ def _setup(state=np.eye(4) / 4, alice=(PAIR, PAIR), bob=(PAIR, PAIR)):
 
 def _validate(**fields):
     return lambda: _setup(**fields).validate()
+
+
+def _observables(state=np.eye(4) / 4, alice=(Z, Z), bob=(Z, Z)):
+    return lambda: bell.observable_setup(state, alice, bob).validate()
 
 
 def _slit(rho=HALF, q=np.eye(2), m=2):
@@ -87,6 +95,14 @@ ROWS = [
      InvalidSetup),
     ("bell-pair not summing to 1",
      _validate(bob=(PAIR, (np.eye(2), np.eye(2)))), InvalidSetup),
+    # observable_setup: its state and observables reach validate as numbers
+    ("found-observable_setup-ragged state",
+     _observables(state=RAGGED), InvalidSetup),
+    ("found-observable_setup-ragged observable",
+     _observables(alice=(RAGGED, Z)), InvalidSetup),
+    ("observable_setup-3x3 observable",
+     _observables(bob=(Z, np.eye(3))), InvalidSetup),
+    ("observable_setup-not numbers", _observables(bob=(Z, "Z")), InvalidSetup),
     # density_to_bloch: NotAState
     ("motivation-density_to_bloch-NaN", lambda: bloch.density_to_bloch(NAN),
      NotAState),
@@ -138,6 +154,11 @@ ROWS = [
      InvalidArgument),
     ("SlitExperiment-eigenvalue above 1 q", _slit(q=2 * np.eye(2)),
      InvalidArgument),
+    # click_probability: each slit index an integer (operators.integer)
+    ("found-click_probability-float slit",
+     lambda: interference.click_probability(_slit()(), [1.5]), InvalidArgument),
+    ("click_probability-bool slit",
+     lambda: interference.click_probability(_slit()(), [True]), InvalidArgument),
     # decomposition_residual: rho checked as SlitExperiment checks it
     ("decomposition_residual-ragged",
      lambda: interference.decomposition_residual(RAGGED), InvalidArgument),
